@@ -13,30 +13,26 @@ Exit codes: 0 success, 1 usage error, 2 data validation error,
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
-from .decompose import ADDITIVE, MEAN, MEDIAN, MULTIPLICATIVE, decompose
+from .decompose import ADDITIVE, MEAN, MEDIAN, MULTIPLICATIVE
 from .errors import DataError, GoldseasonError, NumericError
 from .report import (
+    CORRELATIONS_SECTION,
+    DECOMPOSITION_SECTION,
     FORMAT_JSON,
     FORMAT_MARKDOWN,
+    REPORT,
+    RETURNS_SECTION,
     ReportConfig,
     analyze_panel,
-    classify_month_signs,
-    decomposition_payload,
     emit_chart_data,
-    markdown_correlation_section,
-    markdown_decomposition_section,
-    markdown_returns_section,
-    matrix_payload,
     render_json,
     render_markdown,
-    summary_payload,
 )
-from .series import MonthStamp, SeriesPanel, parse_panel_csv, render_panel_csv, slice_span, to_returns
-from .stats import PRICES, RETURNS, correlation_matrix, monthly_mean_returns
+from .series import MonthStamp, SeriesPanel, parse_panel_csv, render_panel_csv, slice_span
 from .synth import GeneratorSpec, generate_series
 
 
@@ -66,7 +62,6 @@ def _build_parser() -> _Parser:
     seasonal = _Parser(add_help=False)
     seasonal.add_argument("--model", choices=[ADDITIVE, MULTIPLICATIVE], default=MULTIPLICATIVE,
                           help="decomposition model (default multiplicative)")
-    seasonal.add_argument("--period", type=int, default=12, help="seasonal length (default 12)")
     seasonal.add_argument("--aggregator", choices=[MEDIAN, MEAN], default=MEDIAN,
                           help="per-month aggregator for raw seasonals (default median)")
     seasonal.add_argument("--quorum", type=int, default=None,
@@ -121,61 +116,23 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _cmd_returns(args) -> str:
+# The analysis sections each subcommand computes and prints.
+_SECTIONS = {
+    "returns": (RETURNS_SECTION,),
+    "correlate": (CORRELATIONS_SECTION,),
+    "decompose": (DECOMPOSITION_SECTION,),
+    "report": REPORT,
+}
+_CONFIG_FIELDS = {field.name for field in dataclasses.fields(ReportConfig)}
+
+
+def _cmd_analyze(args) -> str:
     panel = _load_panel(args)
-    summaries = tuple(monthly_mean_returns(to_returns(s), args.alpha) for s in panel.series)
-    if args.fmt == FORMAT_JSON:
-        payload = {"group": panel.group, "alpha": args.alpha,
-                   "returns": {s.currency: summary_payload(s) for s in summaries}}
-        return json.dumps(payload, indent=2) + "\n"
-    return markdown_returns_section(summaries, args.alpha) + "\n"
-
-
-def _cmd_correlate(args) -> str:
-    panel = _load_panel(args)
-    price_corr = correlation_matrix(panel, PRICES, args.alpha)
-    return_corr = correlation_matrix(panel, RETURNS, args.alpha)
-    if args.fmt == FORMAT_JSON:
-        payload = {"group": panel.group, "alpha": args.alpha,
-                   "correlations": {PRICES: matrix_payload(price_corr), RETURNS: matrix_payload(return_corr)}}
-        return json.dumps(payload, indent=2) + "\n"
-    return markdown_correlation_section(price_corr, return_corr) + "\n"
-
-
-def _cmd_decompose(args) -> str:
-    panel = _load_panel(args)
-    results = tuple(
-        (s.currency, decompose(s, model=args.model, period=args.period, aggregator=args.aggregator))
-        for s in panel.series
-    )
-    signs = classify_month_signs({code: r.indices for code, r in results}, args.quorum)
-    if args.fmt == FORMAT_JSON:
-        payload = {"group": panel.group, "model": args.model, "aggregator": args.aggregator,
-                   "decomposition": {code: decomposition_payload(r) for code, r in results},
-                   "signs": list(signs)}
-        return json.dumps(payload, indent=2) + "\n"
-    return markdown_decomposition_section(results, signs, args.model, args.aggregator) + "\n"
-
-
-def _cmd_report(args) -> str:
-    panel = _load_panel(args)
-    config = ReportConfig(
-        input_path=Path(args.input),
-        group=args.group,
-        model=args.model,
-        period=args.period,
-        aggregator=args.aggregator,
-        alpha=args.alpha,
-        quorum=args.quorum,
-        fmt=args.fmt,
-        charts_dir=Path(args.charts) if args.charts else None,
-    )
-    analysis = analyze_panel(panel, config)
-    if config.charts_dir is not None:
-        emit_chart_data(panel.group, dict(analysis.decompositions), config.charts_dir)
-    if config.fmt == FORMAT_JSON:
-        return render_json(analysis)
-    return render_markdown(analysis)
+    config = ReportConfig(**{key: value for key, value in vars(args).items() if key in _CONFIG_FIELDS})
+    analysis = analyze_panel(panel, config, _SECTIONS[args.command])
+    if getattr(args, "charts", None):
+        emit_chart_data(panel.group, dict(analysis.decompositions), args.charts)
+    return render_json(analysis) if config.fmt == FORMAT_JSON else render_markdown(analysis)
 
 
 def _cmd_synth(args) -> str:
@@ -204,13 +161,7 @@ def _cmd_synth(args) -> str:
     return render_panel_csv(SeriesPanel("synthetic", (series,)))
 
 
-_COMMANDS = {
-    "returns": _cmd_returns,
-    "correlate": _cmd_correlate,
-    "decompose": _cmd_decompose,
-    "report": _cmd_report,
-    "synth": _cmd_synth,
-}
+_COMMANDS = {**{command: _cmd_analyze for command in _SECTIONS}, "synth": _cmd_synth}
 
 
 def run_cli(argv=None) -> int:

@@ -21,7 +21,8 @@ last half-cycle of raw seasonals are simply absent (no backcasting), which
 only reduces the per-month bucket sizes.
 
 MAPE is reported in percent. It is undefined when any actual value is
-zero; `decompose` then stores NaN while `accuracy_metrics` raises.
+zero, or so small that the percentage errors overflow; `decompose` then
+stores NaN while `accuracy_metrics` raises.
 """
 
 from __future__ import annotations
@@ -214,10 +215,10 @@ def fit_trend(values: Sequence[float]) -> TrendLine:
 
 def _error_metrics(actual: np.ndarray, fitted: np.ndarray) -> AccuracyMetrics:
     err = actual - fitted
-    if (actual == 0.0).any():
-        mape = math.nan
-    else:
+    with np.errstate(all="ignore"):
         mape = float(100.0 * np.mean(np.abs(err) / np.abs(actual)))
+    if not math.isfinite(mape):  # a zero or subnormal actual value
+        mape = math.nan
     return AccuracyMetrics(mape, float(np.mean(np.abs(err))), float(np.mean(err * err)))
 
 
@@ -225,7 +226,7 @@ def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> Accura
     """MAPE/MAD/MSD between actual and fitted values.
 
     MAPE = 100 * mean(|actual - fitted| / |actual|), so it is undefined
-    (NumericError) when any actual value is zero.
+    (NumericError) when any actual value is zero or the mean overflows.
     """
     a = np.asarray(actual, dtype=float)
     f = np.asarray(fitted, dtype=float)
@@ -233,9 +234,10 @@ def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> Accura
         raise DataError(f"length mismatch: {a.size} actual vs {f.size} fitted")
     if a.size < 1:
         raise DataError("accuracy metrics need at least one observation")
-    if (a == 0.0).any():
-        raise NumericError("zero actual value: MAPE undefined")
-    return _error_metrics(a, f)
+    metrics = _error_metrics(a, f)
+    if math.isnan(metrics.mape):
+        raise NumericError("zero actual value or overflow: MAPE undefined")
+    return metrics
 
 
 def decompose(

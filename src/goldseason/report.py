@@ -40,22 +40,22 @@ SIGN_NEUTRAL = "0"
 FORMAT_MARKDOWN = "md"
 FORMAT_JSON = "json"
 
+RETURNS_SECTION = "returns"
+CORRELATIONS_SECTION = "correlations"
+DECOMPOSITION_SECTION = "decomposition"
+REPORT = (RETURNS_SECTION, CORRELATIONS_SECTION, DECOMPOSITION_SECTION)
+
 
 @dataclass(frozen=True)
 class ReportConfig:
     """Knobs for one report run; defaults mirror the CLI defaults."""
 
-    input_path: Path | None = None
     group: str = "panel"
     model: str = MULTIPLICATIVE
-    period: int = 12
     aggregator: str = MEDIAN
     alpha: float = 0.05
     quorum: int | None = None  # None means unanimity
     fmt: str = FORMAT_MARKDOWN
-    charts_dir: Path | None = None
-    start: MonthStamp | None = None
-    end: MonthStamp | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
@@ -109,13 +109,14 @@ def classify_month_signs(
 
 @dataclass(frozen=True)
 class PanelAnalysis:
-    """Everything the renderers need, computed once per panel."""
+    """The sections of one panel's analysis; a section not computed is empty."""
 
     group: str
     span: tuple[MonthStamp, MonthStamp]
+    currencies: tuple[str, ...]
+    sections: tuple[str, ...]
     alpha: float
     model: str
-    period: int
     aggregator: str
     summaries: tuple[MonthlyReturnSummary, ...]
     price_correlation: CorrelationMatrix | None
@@ -124,34 +125,36 @@ class PanelAnalysis:
     signs: tuple[str, ...]
 
 
-def analyze_panel(panel: SeriesPanel, config: ReportConfig) -> PanelAnalysis:
-    """Run returns, correlation, and decomposition analyses over one panel.
+def analyze_panel(panel: SeriesPanel, config: ReportConfig, sections: Sequence[str] = REPORT) -> PanelAnalysis:
+    """Compute the requested sections (a subset of `REPORT`) of one panel's analysis.
 
-    Correlation matrices need at least two series; for single-currency
-    panels they are omitted rather than failing the whole report.
+    Correlation matrices need at least two series. Requested alone they
+    fail on a single-currency panel; next to other sections they are
+    omitted rather than failing the whole report.
     """
-    summaries = tuple(
-        monthly_mean_returns(to_returns(s), config.alpha) for s in panel.series
-    )
-    if len(panel) >= 2:
+    if not sections or not set(sections) <= set(REPORT):
+        raise DataError(f"sections must be a non-empty subset of {REPORT}, got {tuple(sections)}")
+    sections = tuple(name for name in REPORT if name in sections)
+    summaries = ()
+    if RETURNS_SECTION in sections:
+        summaries = tuple(monthly_mean_returns(to_returns(s), config.alpha) for s in panel.series)
+    price_corr = return_corr = None
+    if CORRELATIONS_SECTION in sections and (len(panel) >= 2 or len(sections) == 1):
         price_corr = correlation_matrix(panel, PRICES, config.alpha)
         return_corr = correlation_matrix(panel, RETURNS, config.alpha)
-    else:
-        price_corr = return_corr = None
-    decompositions = tuple(
-        (s.currency, decompose(s, model=config.model, period=config.period, aggregator=config.aggregator))
-        for s in panel.series
-    )
-    signs = classify_month_signs(
-        {code: result.indices for code, result in decompositions},
-        config.quorum,
-    )
+    decompositions = signs = ()
+    if DECOMPOSITION_SECTION in sections:
+        decompositions = tuple(
+            (s.currency, decompose(s, model=config.model, aggregator=config.aggregator)) for s in panel.series
+        )
+        signs = classify_month_signs({code: result.indices for code, result in decompositions}, config.quorum)
     return PanelAnalysis(
         group=panel.group,
         span=(panel.start, panel.end),
+        currencies=panel.currencies,
+        sections=sections,
         alpha=config.alpha,
         model=config.model,
-        period=config.period,
         aggregator=config.aggregator,
         summaries=summaries,
         price_correlation=price_corr,
@@ -164,9 +167,7 @@ def analyze_panel(panel: SeriesPanel, config: ReportConfig) -> PanelAnalysis:
 def render_report(panel: SeriesPanel, config: ReportConfig) -> str:
     """Full report for a panel in the configured format."""
     analysis = analyze_panel(panel, config)
-    if config.fmt == FORMAT_JSON:
-        return render_json(analysis)
-    return render_markdown(analysis)
+    return render_json(analysis) if config.fmt == FORMAT_JSON else render_markdown(analysis)
 
 
 # ---------------------------------------------------------------- markdown
@@ -220,15 +221,11 @@ def markdown_correlation_section(price_corr: CorrelationMatrix, return_corr: Cor
     return "\n".join(parts)
 
 
-def markdown_decomposition_section(
-    decompositions: Sequence[tuple[str, DecompositionResult]],
-    signs: Sequence[str],
-    model: str,
-    aggregator: str,
-) -> str:
+def markdown_decomposition_section(analysis: PanelAnalysis) -> str:
+    decompositions, signs = analysis.decompositions, analysis.signs
     codes = [code for code, _ in decompositions]
     period = decompositions[0][1].indices.period
-    lines = [f"## Seasonal decomposition ({model}, {aggregator} aggregation)", ""]
+    lines = [f"## Seasonal decomposition ({analysis.model}, {analysis.aggregator} aggregation)", ""]
     lines.append("| Month | " + " | ".join(codes) + " | Sign |")
     lines.append("|" + " --- |" * (len(codes) + 2))
     for month in range(1, period + 1):
@@ -248,22 +245,23 @@ def markdown_decomposition_section(
 
 
 def render_markdown(analysis: PanelAnalysis) -> str:
-    start, end = analysis.span
-    header = [
-        f"# Seasonal analysis: {analysis.group}",
-        "",
-        f"Span {start}..{end}, {len(analysis.summaries)} currencies, alpha {analysis.alpha:g}.",
-        "",
-    ]
-    body = [markdown_returns_section(analysis.summaries, analysis.alpha), ""]
-    if analysis.price_correlation is not None and analysis.return_correlation is not None:
-        body.extend([markdown_correlation_section(analysis.price_correlation, analysis.return_correlation), ""])
-    body.append(
-        markdown_decomposition_section(
-            analysis.decompositions, analysis.signs, analysis.model, analysis.aggregator
-        )
-    )
-    return "\n".join(header + body) + "\n"
+    """Markdown of the sections the analysis holds, under a title when there are several."""
+    lines = []
+    if len(analysis.sections) > 1:
+        start, end = analysis.span
+        lines += [
+            f"# Seasonal analysis: {analysis.group}",
+            "",
+            f"Span {start}..{end}, {len(analysis.currencies)} currencies, alpha {analysis.alpha:g}.",
+            "",
+        ]
+    if analysis.summaries:
+        lines += [markdown_returns_section(analysis.summaries, analysis.alpha), ""]
+    if analysis.price_correlation is not None:
+        lines += [markdown_correlation_section(analysis.price_correlation, analysis.return_correlation), ""]
+    if analysis.decompositions:
+        lines += [markdown_decomposition_section(analysis), ""]
+    return "\n".join(lines)
 
 
 # -------------------------------------------------------------------- JSON
@@ -314,22 +312,30 @@ def decomposition_payload(result: DecompositionResult) -> dict:
 
 
 def render_json(analysis: PanelAnalysis) -> str:
-    start, end = analysis.span
-    payload = {
-        "group": analysis.group,
-        "span": {"start": str(start), "end": str(end)},
-        "alpha": analysis.alpha,
-        "model": analysis.model,
-        "period": analysis.period,
-        "aggregator": analysis.aggregator,
-        "returns": {s.currency: summary_payload(s) for s in analysis.summaries},
-        "correlations": {
+    """JSON of the sections the analysis holds; several sections also carry the span and period."""
+    sections = analysis.sections
+    several = len(sections) > 1
+    payload: dict = {"group": analysis.group}
+    if several:
+        start, end = analysis.span
+        payload["span"] = {"start": str(start), "end": str(end)}
+    if RETURNS_SECTION in sections or CORRELATIONS_SECTION in sections:
+        payload["alpha"] = analysis.alpha
+    if DECOMPOSITION_SECTION in sections:
+        payload["model"] = analysis.model
+        if several:
+            payload["period"] = 12
+        payload["aggregator"] = analysis.aggregator
+    if RETURNS_SECTION in sections:
+        payload["returns"] = {s.currency: summary_payload(s) for s in analysis.summaries}
+    if CORRELATIONS_SECTION in sections:
+        payload["correlations"] = {
             PRICES: matrix_payload(analysis.price_correlation) if analysis.price_correlation else None,
             RETURNS: matrix_payload(analysis.return_correlation) if analysis.return_correlation else None,
-        },
-        "decomposition": {code: decomposition_payload(result) for code, result in analysis.decompositions},
-        "signs": list(analysis.signs),
-    }
+        }
+    if DECOMPOSITION_SECTION in sections:
+        payload["decomposition"] = {code: decomposition_payload(result) for code, result in analysis.decompositions}
+        payload["signs"] = list(analysis.signs)
     return json.dumps(payload, indent=2) + "\n"
 
 
@@ -339,7 +345,6 @@ def emit_chart_data(
     group: str,
     results: Mapping[str, DecompositionResult],
     directory: Path | str,
-    fractional_units: bool = False,
 ) -> Path:
     """Write one CSV of per-month percent deviations for a currency group.
 
@@ -352,9 +357,7 @@ def emit_chart_data(
     directory.mkdir(parents=True, exist_ok=True)
     codes = list(results)
     period = next(iter(results.values())).indices.period
-    deviations = {
-        code: seasonal_deviation_percent(results[code].indices, fractional_units) for code in codes
-    }
+    deviations = {code: seasonal_deviation_percent(results[code].indices) for code in codes}
     lines = ["month," + ",".join(codes)]
     for month in range(1, period + 1):
         row = ",".join(f"{deviations[code][month - 1]:.4f}" for code in codes)

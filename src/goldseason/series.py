@@ -8,9 +8,10 @@ because silent imputation would distort every downstream statistic.
 Returns are stored as decimal fractions (0.0165, not 1.65); converting to
 percent is purely a presentation concern handled by the report layer.
 
-CSV contract (UTF-8): header line ``date,<CODE>[,<CODE>...]``, then one row
-``YYYY-MM,<price>[,<price>...]`` per month in strictly ascending month
-order, decimal point ``.``, no thousands separators, no blank cells.
+CSV contract (UTF-8, optionally with a byte-order mark): header line
+``date,<CODE>[,<CODE>...]``, then one row ``YYYY-MM,<price>[,<price>...]``
+per month in strictly ascending month order, decimal point ``.``, no
+thousands separators, no blank cells. Blank lines may only trail the data.
 """
 
 from __future__ import annotations
@@ -208,7 +209,9 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
         message names the stamp and column), or a calendar gap or
         duplicate stamp (the message names the offending month).
     """
-    lines = text.splitlines()
+    lines = text.removeprefix("\ufeff").splitlines()
+    while lines and not lines[-1].strip():
+        lines.pop()
     if not lines:
         raise DataError("empty document")
     header = [h.strip() for h in lines[0].split(",")]

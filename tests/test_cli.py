@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from goldseason import parse_panel_csv
+from goldseason import SeriesPanel, parse_panel_csv, render_panel_csv
 from goldseason.cli import run_cli
+
+from test_report import DATA_DIR, two_currency_panel
 
 
 @pytest.fixture
@@ -131,12 +133,50 @@ class TestSubcommands:
         assert len(payload["signs"]) == 12
 
     def test_decompose_non_default_period(self, panel_csv, capsys):
-        assert run_cli(["decompose", "--input", str(panel_csv), "--period", "6"]) == 0
-        out = capsys.readouterr().out
-        assert "| 6 |" in out and "| 7 |" not in out
+        assert run_cli(["decompose", "--input", str(panel_csv), "--period", "6"]) == 1
+        assert "--period" in capsys.readouterr().err
 
-    def test_bad_alpha_is_data_error(self, panel_csv, capsys):
-        assert run_cli(["correlate", "--input", str(panel_csv), "--alpha", "2"]) == 2
+    @pytest.mark.parametrize("command", ["returns", "correlate", "decompose", "report"])
+    def test_bad_alpha_is_data_error(self, panel_csv, capsys, command):
+        assert run_cli([command, "--input", str(panel_csv), "--alpha", "2"]) == 2
+        assert "alpha" in capsys.readouterr().err
+
+
+class TestOneAnalysisPath:
+    """Every analysis subcommand prints what the library's report renders."""
+
+    @pytest.fixture
+    def golden_csv(self, tmp_path):
+        path = tmp_path / "twosynth.csv"
+        path.write_text(render_panel_csv(two_currency_panel()))
+        return path
+
+    def test_report_matches_golden_file(self, golden_csv, capsys):
+        assert run_cli(["report", "--input", str(golden_csv), "--group", "twosynth"]) == 0
+        assert capsys.readouterr().out == (DATA_DIR / "golden_report.md").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("command, index", [("returns", 1), ("correlate", 2), ("decompose", 3)])
+    def test_subcommand_prints_its_report_section(self, golden_csv, capsys, command, index):
+        sections = (DATA_DIR / "golden_report.md").read_text(encoding="utf-8").split("\n\n## ")
+        assert run_cli([command, "--input", str(golden_csv)]) == 0
+        assert capsys.readouterr().out == "## " + sections[index].rstrip("\n") + "\n"
+
+    def test_single_currency_correlate_fails_but_report_omits_it(self, tmp_path, capsys):
+        path = tmp_path / "solo.csv"
+        path.write_text(render_panel_csv(SeriesPanel("solo", two_currency_panel().series[:1])))
+        assert run_cli(["correlate", "--input", str(path)]) == 2
+        assert "at least 2 series" in capsys.readouterr().err
+        assert run_cli(["report", "--input", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "## Correlation" not in out and "## Seasonal decomposition" in out
+
+    def test_correlate_needs_no_full_year(self, tmp_path, capsys):
+        rows = [f"2000-{m:02d},{100 + m + m % 3},{50 + 2 * m - m % 2},{80 - m + m % 4}" for m in range(1, 11)]
+        path = tmp_path / "short.csv"
+        path.write_text("date,AAA,BBB,CCC\n" + "\n".join(rows) + "\n")
+        assert run_cli(["correlate", "--input", str(path)]) == 0
+        assert "### Returns (n = 9)" in capsys.readouterr().out
+        assert run_cli(["report", "--input", str(path)]) == 2
 
 
 class TestExitCodes:

@@ -182,6 +182,8 @@ class TestAccuracyMetrics:
     def test_zero_actual(self):
         with pytest.raises(NumericError, match="zero actual"):
             accuracy_metrics([0.0, 1.0], [1.0, 1.0])
+        with pytest.raises(NumericError, match="MAPE undefined"):
+            accuracy_metrics([1e-310, 1.0], [1.0, 1.0])  # the percentage error overflows
 
     def test_empty(self):
         with pytest.raises(DataError):
@@ -255,6 +257,8 @@ class TestDecompose:
         assert math.isnan(result.accuracy.mape)
         assert math.isfinite(result.accuracy.mad)
         assert math.isfinite(result.accuracy.msd)
+        values[10], values[20] = 1e-310, 15.0  # a subnormal actual off the fit overflows MAPE
+        assert math.isnan(decompose(values, stamps, model=ADDITIVE).accuracy.mape)
 
 
 class TestSeasonalDeviationPercent:

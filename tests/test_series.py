@@ -81,6 +81,8 @@ class TestParsePanelCsv:
         assert len(panel.series[0]) == 3
         assert panel.series[1].prices().tolist() == [90.0, 99.0, 94.5]
         assert panel.start == MonthStamp(2000, 1)
+        # a byte-order mark and trailing blank lines, as spreadsheet exports write them
+        assert parse_panel_csv("\ufeff" + small_csv + "\n \n", "demo") == panel
 
     def test_long_span_point_and_return_counts(self):
         # 447 monthly prices ending 2016-02 (first return stamp 1979-01)
@@ -125,6 +127,8 @@ class TestParsePanelCsv:
         text = "date,USD,EUR\n2000-01,100,\n"
         with pytest.raises(DataError):
             parse_panel_csv(text)
+        with pytest.raises(DataError, match="line 3"):
+            parse_panel_csv("date,USD\n2000-01,100\n\n2000-02,101\n")
 
     def test_empty_document(self):
         with pytest.raises(DataError):
