@@ -35,9 +35,7 @@ from .report import (
 )
 from .series import (
     MonthStamp,
-    PricePoint,
     PriceSeries,
-    ReturnPoint,
     ReturnSeries,
     SeriesPanel,
     align_panel,
@@ -59,7 +57,7 @@ from .stats import (
     one_sample_ttest,
     pearson,
 )
-from .synth import GeneratorSpec, generate_series, reference_decompose
+from .synth import GeneratorSpec, generate_series
 
 __version__ = "0.1.0"
 
@@ -79,10 +77,8 @@ __all__ = [
     "MonthStamp",
     "MonthlyReturnSummary",
     "NumericError",
-    "PricePoint",
     "PriceSeries",
     "ReportConfig",
-    "ReturnPoint",
     "ReturnSeries",
     "SeasonalIndices",
     "SeriesPanel",
@@ -104,7 +100,6 @@ __all__ = [
     "one_sample_ttest",
     "parse_panel_csv",
     "pearson",
-    "reference_decompose",
     "render_panel_csv",
     "render_report",
     "seasonal_deviation_percent",

@@ -105,7 +105,7 @@ def _load_panel(args) -> SeriesPanel:
     start = _parse_stamp_flag(args.start, "--start") or panel.start
     end = _parse_stamp_flag(args.end, "--end") or panel.end
     if (start, end) != (panel.start, panel.end):
-        panel = SeriesPanel(args.group, tuple(slice_span(s, start, end) for s in panel.series))
+        panel = SeriesPanel.from_series(args.group, tuple(slice_span(s, start, end) for s in panel.series))
     return panel
 
 
@@ -158,7 +158,7 @@ def _cmd_synth(args) -> str:
         currency=args.currency,
     )
     series = generate_series(spec)
-    return render_panel_csv(SeriesPanel("synthetic", (series,)))
+    return render_panel_csv(SeriesPanel.from_series("synthetic", (series,)))
 
 
 _COMMANDS = {**{command: _cmd_analyze for command in _SECTIONS}, "synth": _cmd_synth}

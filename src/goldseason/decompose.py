@@ -152,28 +152,26 @@ def centered_ma(values: Sequence[float], period: int = 12) -> np.ndarray:
     return out
 
 
-def _season_positions(stamps: Sequence[MonthStamp] | None, n: int, period: int) -> np.ndarray:
-    """1-based seasonal position per observation; calendar months when period is 12."""
-    if period == 12:
-        if stamps is None:
-            raise DataError("stamps are required to group by calendar month")
-        if len(stamps) != n:
-            raise DataError(f"stamps length {len(stamps)} does not match values length {n}")
-        return np.array([s.month for s in stamps], dtype=int)
-    return (np.arange(n) % period) + 1
+def _season_positions(start: MonthStamp | None, n: int, period: int) -> np.ndarray:
+    """0-based seasonal position per observation; the calendar month from `start` when period is 12."""
+    if period != 12:
+        return np.arange(n) % period
+    if start is None:
+        raise DataError("a start month is required to group by calendar month")
+    return (start.month - 1 + np.arange(n)) % 12
 
 
 def seasonal_indices(
     values: Sequence[float],
-    stamps: Sequence[MonthStamp] | None,
+    start: MonthStamp | None,
     model: str = MULTIPLICATIVE,
     period: int = 12,
     aggregator: str = MEDIAN,
 ) -> SeasonalIndices:
     """Estimate normalized seasonal indices from ratios (or differences) to the centered MA.
 
-    Requires at least two full cycles. Multiplicative estimation demands
-    strictly positive values.
+    `start` is the stamp of the first value. Requires at least two full
+    cycles. Multiplicative estimation demands strictly positive values.
     """
     _check_model(model)
     _check_aggregator(aggregator)
@@ -181,10 +179,10 @@ def seasonal_indices(
     n = x.size
     if n < 2 * period:
         raise DataError(f"need at least {2 * period} observations for period {period}, got {n}")
-    positions = _season_positions(stamps, n, period)
+    positions = _season_positions(start, n, period)
     if model == MULTIPLICATIVE and (x <= 0.0).any():
         bad = int(np.argmax(x <= 0.0))
-        where = str(stamps[bad]) if stamps is not None else f"position {bad + 1}"
+        where = str(start.shift(bad)) if start is not None else f"position {bad + 1}"
         raise DataError(f"multiplicative model requires positive values; got {x[bad]} at {where}")
 
     ma = centered_ma(x, period)
@@ -193,11 +191,11 @@ def seasonal_indices(
         raw = x / ma if model == MULTIPLICATIVE else x - ma
 
     aggregates = np.empty(period)
-    for pos in range(1, period + 1):
+    for pos in range(period):
         bucket = raw[defined & (positions == pos)]
         if bucket.size == 0:
-            raise DataError(f"no detrended observations for seasonal position {pos}")
-        aggregates[pos - 1] = np.median(bucket) if aggregator == MEDIAN else bucket.mean()
+            raise DataError(f"no detrended observations for seasonal position {pos + 1}")
+        aggregates[pos] = np.median(bucket) if aggregator == MEDIAN else bucket.mean()
     return SeasonalIndices.from_values(model, aggregates)
 
 
@@ -242,7 +240,7 @@ def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> Accura
 
 def decompose(
     data: PriceSeries | ReturnSeries | Sequence[float],
-    stamps: Sequence[MonthStamp] | None = None,
+    start: MonthStamp | None = None,
     model: str = MULTIPLICATIVE,
     period: int = 12,
     aggregator: str = MEDIAN,
@@ -252,15 +250,13 @@ def decompose(
     Parameters
     ----------
     data : PriceSeries, ReturnSeries, or sequence of floats
-        When a plain sequence is given, aligned stamps must accompany it
-        (for period 12). Price data is normally decomposed
-        multiplicatively; series that can be negative (returns) need the
-        additive model.
+        A plain sequence needs `start`, the stamp of its first value (for
+        period 12). Price data is normally decomposed multiplicatively;
+        series that can be negative (returns) need the additive model.
     """
-    values, stamps = _coerce(data, stamps)
-    indices = seasonal_indices(values, stamps, model=model, period=period, aggregator=aggregator)
-    positions = _season_positions(stamps, values.size, period)
-    per_point = np.array([indices.for_month(p) for p in positions])
+    values, start = _coerce(data, start)
+    indices = seasonal_indices(values, start, model=model, period=period, aggregator=aggregator)
+    per_point = np.asarray(indices.values)[_season_positions(start, values.size, period)]
 
     deseasonalized = values / per_point if model == MULTIPLICATIVE else values - per_point
     trend = fit_trend(deseasonalized)
@@ -272,8 +268,8 @@ def decompose(
         model=model,
         indices=indices,
         trend=trend,
-        fitted=tuple(float(v) for v in fitted),
-        irregular=tuple(float(v) for v in irregular),
+        fitted=tuple(fitted.tolist()),
+        irregular=tuple(irregular.tolist()),
         accuracy=_error_metrics(values, fitted),
     )
 
@@ -295,11 +291,10 @@ def seasonal_deviation_percent(indices: SeasonalIndices, fractional_units: bool 
 
 def _coerce(
     data: PriceSeries | ReturnSeries | Sequence[float],
-    stamps: Sequence[MonthStamp] | None,
-) -> tuple[np.ndarray, tuple[MonthStamp, ...] | None]:
+    start: MonthStamp | None,
+) -> tuple[np.ndarray, MonthStamp | None]:
     if isinstance(data, PriceSeries):
-        return data.prices(), data.stamps()
+        return data.prices(), data.start
     if isinstance(data, ReturnSeries):
-        return data.values(), data.stamps()
-    values = np.asarray(data, dtype=float)
-    return values, tuple(stamps) if stamps is not None else None
+        return data.values(), data.start
+    return np.asarray(data, dtype=float), start

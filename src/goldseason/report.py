@@ -50,7 +50,6 @@ REPORT = (RETURNS_SECTION, CORRELATIONS_SECTION, DECOMPOSITION_SECTION)
 class ReportConfig:
     """Knobs for one report run; defaults mirror the CLI defaults."""
 
-    group: str = "panel"
     model: str = MULTIPLICATIVE
     aggregator: str = MEDIAN
     alpha: float = 0.05
@@ -199,11 +198,8 @@ def _markdown_matrix(matrix: CorrelationMatrix, title: str) -> str:
     lines = [f"### {title} (n = {matrix.n})", ""]
     lines.append("| | " + " | ".join(labels) + " |")
     lines.append("|" + " --- |" * (len(labels) + 1))
-    for i, row_label in enumerate(labels):
-        cells = []
-        for j in range(len(labels)):
-            star = "*" if matrix.significant[i][j] else ""
-            cells.append(f"{matrix.values[i][j]:.2f}{star}")
+    for row_label, values, stars in zip(labels, matrix.values.tolist(), matrix.significant.tolist()):
+        cells = [f"{value:.2f}" + ("*" if star else "") for value, star in zip(values, stars)]
         lines.append(f"| {row_label} | " + " | ".join(cells) + " |")
     return "\n".join(lines)
 
@@ -292,9 +288,9 @@ def matrix_payload(matrix: CorrelationMatrix) -> dict:
         "basis": matrix.basis,
         "labels": list(matrix.labels),
         "n": matrix.n,
-        "values": [list(row) for row in matrix.values],
-        "p_values": [list(row) for row in matrix.p_values],
-        "significant": [list(row) for row in matrix.significant],
+        "values": matrix.values.tolist(),
+        "p_values": matrix.p_values.tolist(),
+        "significant": matrix.significant.tolist(),
     }
 
 

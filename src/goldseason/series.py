@@ -1,8 +1,11 @@
 """Domain types for monthly price panels plus ingestion and return arithmetic.
 
-A price series is a contiguous run of end-of-month observations for one
-currency denomination. Stamps carry year and month only; there is no day
-component. Gaps and duplicate months are hard errors, never interpolated,
+A panel is one read-only float64 matrix of end-of-month prices, one row per
+month and one column per currency, anchored at the stamp of its first row.
+Stamps carry year and month only; there is no day component. A start stamp
+plus a row count cannot have a gap, so contiguity is checked once, by
+`parse_panel_csv`, which is also where prices are checked to be positive
+and finite. Gaps and duplicate months are hard errors, never interpolated,
 because silent imputation would distort every downstream statistic.
 
 Returns are stored as decimal fractions (0.0165, not 1.65); converting to
@@ -17,11 +20,11 @@ thousands separators, no blank cells. Blank lines may only trail the data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, NumericError
 
 _STAMP_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"^[A-Za-z]{3}$")
@@ -62,134 +65,149 @@ class MonthStamp:
         return f"{self.year:04d}-{self.month:02d}"
 
 
-@dataclass(frozen=True)
-class PricePoint:
-    """One end-of-month price observation (currency units per unit of asset)."""
-
-    stamp: MonthStamp
-    price: float
-
-    def __post_init__(self) -> None:
-        price = float(self.price)
-        if not np.isfinite(price) or price <= 0.0:
-            raise DataError(f"price at {self.stamp} must be positive and finite, got {self.price!r}")
-        object.__setattr__(self, "price", price)
-
-
-@dataclass(frozen=True)
-class ReturnPoint:
-    """One month-over-month return, stamped with the later month."""
-
-    stamp: MonthStamp
-    value: float
-
-
 def _check_currency(code: str) -> None:
     if not _CODE_RE.match(code):
         raise DataError(f"currency code must be three letters, got {code!r}")
 
 
-def _check_contiguous(stamps, label: str) -> None:
-    for prev, cur in zip(stamps, stamps[1:]):
-        step = cur.index() - prev.index()
-        if step == 1:
-            continue
-        if step == 0:
-            raise DataError(f"duplicate stamp {cur} in {label}")
-        if step < 0:
-            raise DataError(f"stamps out of order at {cur} in {label}")
-        raise DataError(f"calendar gap in {label}: missing {prev.shift(1)}")
+def _read_only(values, ndim: int, label: str) -> np.ndarray:
+    """A float64 array nothing can write through: read-only input is shared, anything else copied."""
+    array = np.asarray(values, dtype=float)
+    if array.ndim != ndim:
+        raise DataError(f"{label} must be a {ndim}-D array, got shape {array.shape}")
+    if array.flags.writeable:
+        array = array.copy()
+        array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
-class PriceSeries:
+@dataclass(frozen=True, eq=False)
+class _MonthlyColumn:
+    """One currency's monthly values: a code, the stamp of the first value, and a read-only 1-D array."""
+
+    currency: str
+    start: MonthStamp
+    data: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_currency(self.currency)
+        data = _read_only(self.data, 1, f"series {self.currency}")
+        if not data.size:
+            raise DataError(f"series {self.currency} has no observations")
+        object.__setattr__(self, "data", data)
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and (self.currency, self.start) == (other.currency, other.start)
+            and np.array_equal(self.data, other.data)
+        )
+
+    def __len__(self) -> int:
+        return self.data.size
+
+    @property
+    def end(self) -> MonthStamp:
+        return self.start.shift(self.data.size - 1)
+
+    def stamps(self) -> tuple[MonthStamp, ...]:
+        return tuple(self.start.shift(i) for i in range(self.data.size))
+
+
+class PriceSeries(_MonthlyColumn):
     """A contiguous monthly price series for one currency denomination."""
 
-    currency: str
-    points: tuple[PricePoint, ...]
-
-    def __post_init__(self) -> None:
-        _check_currency(self.currency)
-        if not self.points:
-            raise DataError(f"series {self.currency} has no observations")
-        _check_contiguous([p.stamp for p in self.points], f"series {self.currency}")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    @property
-    def start(self) -> MonthStamp:
-        return self.points[0].stamp
-
-    @property
-    def end(self) -> MonthStamp:
-        return self.points[-1].stamp
-
-    def stamps(self) -> tuple[MonthStamp, ...]:
-        return tuple(p.stamp for p in self.points)
-
     def prices(self) -> np.ndarray:
-        return np.array([p.price for p in self.points], dtype=float)
+        return self.data
 
 
-@dataclass(frozen=True)
-class ReturnSeries:
-    """Month-over-month arithmetic returns derived from a PriceSeries."""
-
-    currency: str
-    points: tuple[ReturnPoint, ...]
-
-    def __post_init__(self) -> None:
-        _check_currency(self.currency)
-        if not self.points:
-            raise DataError(f"return series {self.currency} has no observations")
-        _check_contiguous([p.stamp for p in self.points], f"return series {self.currency}")
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def stamps(self) -> tuple[MonthStamp, ...]:
-        return tuple(p.stamp for p in self.points)
+class ReturnSeries(_MonthlyColumn):
+    """Month-over-month arithmetic returns, starting one month after their prices."""
 
     def values(self) -> np.ndarray:
-        return np.array([p.value for p in self.points], dtype=float)
+        return self.data
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeriesPanel:
-    """Several price series sharing one contiguous stamp span."""
+    """Prices of several currencies over one span: a read-only (months x currencies) matrix.
+
+    `series` holds one `PriceSeries` per column, each a view of the matrix.
+    """
 
     group: str
-    series: tuple[PriceSeries, ...]
+    start: MonthStamp
+    currencies: tuple[str, ...]
+    prices: np.ndarray
+    series: tuple[PriceSeries, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.series:
+        codes = tuple(self.currencies)
+        if not codes:
             raise DataError(f"panel {self.group!r} has no series")
-        codes = [s.currency for s in self.series]
         if len(set(codes)) != len(codes):
-            raise DataError(f"panel {self.group!r} has duplicate currency codes: {codes}")
-        first = self.series[0]
-        for s in self.series[1:]:
-            if s.start != first.start or s.end != first.end:
+            raise DataError(f"panel {self.group!r} has duplicate currency codes: {list(codes)}")
+        prices = _read_only(self.prices, 2, f"panel {self.group!r}")
+        if prices.shape[1] != len(codes):
+            raise DataError(f"panel {self.group!r} has {prices.shape[1]} price columns for {len(codes)} codes")
+        object.__setattr__(self, "currencies", codes)
+        object.__setattr__(self, "prices", prices)
+        object.__setattr__(self, "series", tuple(
+            PriceSeries(code, self.start, prices[:, j]) for j, code in enumerate(codes)
+        ))
+
+    @classmethod
+    def from_series(cls, group: str, series: list[PriceSeries] | tuple[PriceSeries, ...]) -> "SeriesPanel":
+        """Stack price series that share one span into a panel."""
+        if not series:
+            raise DataError(f"panel {group!r} has no series")
+        first = series[0]
+        for s in series[1:]:
+            if (s.start, s.end) != (first.start, first.end):
                 raise DataError(
-                    f"panel {self.group!r}: series {s.currency} spans {s.start}..{s.end}, "
+                    f"panel {group!r}: series {s.currency} spans {s.start}..{s.end}, "
                     f"expected {first.start}..{first.end}"
                 )
+        prices = np.column_stack([s.prices() for s in series])
+        return cls(group, first.start, tuple(s.currency for s in series), prices)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, SeriesPanel)
+            and (self.group, self.start, self.currencies) == (other.group, other.start, other.currencies)
+            and np.array_equal(self.prices, other.prices)
+        )
 
     def __len__(self) -> int:
-        return len(self.series)
-
-    @property
-    def currencies(self) -> tuple[str, ...]:
-        return tuple(s.currency for s in self.series)
-
-    @property
-    def start(self) -> MonthStamp:
-        return self.series[0].start
+        return len(self.currencies)
 
     @property
     def end(self) -> MonthStamp:
-        return self.series[0].end
+        return self.start.shift(self.prices.shape[0] - 1)
+
+    def returns(self) -> np.ndarray:
+        """The (months - 1, currencies) matrix of `to_returns` of every column."""
+        return _ratio_returns(self.prices, self.currencies, self.start)
+
+
+def _ratio_returns(prices: np.ndarray, codes, start: MonthStamp) -> np.ndarray:
+    """Read-only returns down each column of an (n, k) price matrix whose first row is at `start`."""
+    n = prices.shape[0]
+    if n < 2:
+        raise DataError(f"series {codes[0]} has {n} point(s); need at least 2 for returns")
+    # price ratio minus one: algebraically (p_t - p_{t-1}) / p_{t-1}, but
+    # better conditioned for reconstructing p_t as p_{t-1} * (1 + ret)
+    with np.errstate(all="ignore"):
+        rets = prices[1:] / prices[:-1] - 1.0
+    finite = np.isfinite(rets)
+    if not finite.all():
+        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        raise NumericError(
+            f"return of {codes[col]} at {start.shift(row + 1)} is not finite: "
+            f"price {float(prices[row + 1, col])!r} after {float(prices[row, col])!r}"
+        )
+    rets.flags.writeable = False
+    return rets
 
 
 def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
@@ -221,65 +239,72 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     for code in codes:
         _check_currency(code)
 
-    stamps: list[MonthStamp] = []
-    columns: list[list[float]] = [[] for _ in codes]
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise DataError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-        stamp = MonthStamp.parse(cells[0])
-        if stamps:
-            step = stamp.index() - stamps[-1].index()
-            if step == 0:
-                raise DataError(f"duplicate stamp {stamp}")
-            if step < 0:
-                raise DataError(f"stamps out of order at {stamp}")
-            if step > 1:
-                raise DataError(f"calendar gap: missing {stamps[-1].shift(1)}")
-        stamps.append(stamp)
-        for code, col, cell in zip(codes, columns, cells[1:]):
+    start = previous = None
+    rows: list[list[str]] = []
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            cells = line.split(",")
+            if len(cells) != len(header):
+                raise DataError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
+            stamp = MonthStamp.parse(cells[0])
+            if previous is None:
+                start = stamp
+            else:
+                step = stamp.index() - previous.index()
+                if step == 0:
+                    raise DataError(f"duplicate stamp {stamp}")
+                if step < 0:
+                    raise DataError(f"stamps out of order at {stamp}")
+                if step > 1:
+                    raise DataError(f"calendar gap: missing {previous.shift(1)}")
+            previous = stamp
+            rows.append(cells[1:])
+    except DataError:
+        _check_prices(rows, codes, start)  # a bad price in an earlier row is reported first
+        raise
+
+    if not rows:
+        raise DataError("document has a header but no data rows")
+    try:
+        prices = np.array(rows, dtype=float)
+        valid = bool((np.isfinite(prices) & (prices > 0.0)).all())
+    except ValueError:
+        valid = False
+    if not valid:
+        _check_prices(rows, codes, start)
+        raise DataError("prices could not be read as numbers")
+    return SeriesPanel(group, start, tuple(codes), prices)
+
+
+def _check_prices(rows: list[list[str]], codes: list[str], start: MonthStamp) -> None:
+    """Raise for the first cell, in row order, that is not a positive finite number."""
+    for i, cells in enumerate(rows):
+        for code, cell in zip(codes, cells):
             try:
                 price = float(cell)
             except ValueError:
-                raise DataError(f"non-numeric price {cell!r} at {stamp} in column {code}") from None
+                raise DataError(f"non-numeric price {cell!r} at {start.shift(i)} in column {code}") from None
             if not np.isfinite(price) or price <= 0.0:
-                raise DataError(f"non-positive price {cell!r} at {stamp} in column {code}")
-            col.append(price)
-
-    if not stamps:
-        raise DataError("document has a header but no data rows")
-    series = tuple(
-        PriceSeries(code, tuple(PricePoint(s, p) for s, p in zip(stamps, col)))
-        for code, col in zip(codes, columns)
-    )
-    return SeriesPanel(group, series)
+                raise DataError(f"non-positive price {cell!r} at {start.shift(i)} in column {code}")
 
 
 def render_panel_csv(panel: SeriesPanel) -> str:
     """Serialize a panel back to the CSV contract (round-trips exactly)."""
     lines = ["date," + ",".join(panel.currencies)]
-    stamps = panel.series[0].stamps()
-    for i, stamp in enumerate(stamps):
-        row = ",".join(repr(s.points[i].price) for s in panel.series)
-        lines.append(f"{stamp},{row}")
+    for i, row in enumerate(panel.prices.tolist()):
+        lines.append(f"{panel.start.shift(i)}," + ",".join(map(repr, row)))
     return "\n".join(lines) + "\n"
 
 
 def to_returns(series: PriceSeries) -> ReturnSeries:
     """Month-over-month arithmetic returns, stamped with the later month.
 
-    ret_t = (price_t - price_{t-1}) / price_{t-1}
+    ret_t = (price_t - price_{t-1}) / price_{t-1}. A return that is not
+    finite (a price ratio that overflows) raises NumericError naming the
+    currency and the month.
     """
-    if len(series) < 2:
-        raise DataError(f"series {series.currency} has {len(series)} point(s); need at least 2 for returns")
-    prices = series.prices()
-    # price ratio minus one: algebraically (p_t - p_{t-1}) / p_{t-1}, but
-    # better conditioned for reconstructing p_t as p_{t-1} * (1 + ret)
-    rets = prices[1:] / prices[:-1] - 1.0
-    points = tuple(
-        ReturnPoint(p.stamp, float(r)) for p, r in zip(series.points[1:], rets)
-    )
-    return ReturnSeries(series.currency, points)
+    rets = _ratio_returns(series.prices()[:, None], (series.currency,), series.start)
+    return ReturnSeries(series.currency, series.start.shift(1), rets[:, 0])
 
 
 def slice_span(series: PriceSeries, start: MonthStamp, end: MonthStamp) -> PriceSeries:
@@ -293,7 +318,7 @@ def slice_span(series: PriceSeries, start: MonthStamp, end: MonthStamp) -> Price
         )
     lo = start.index() - series.start.index()
     hi = end.index() - series.start.index() + 1
-    return PriceSeries(series.currency, series.points[lo:hi])
+    return PriceSeries(series.currency, start, series.prices()[lo:hi])
 
 
 def align_panel(series: list[PriceSeries] | tuple[PriceSeries, ...], group: str = "panel") -> SeriesPanel:
@@ -311,11 +336,12 @@ def align_panel(series: list[PriceSeries] | tuple[PriceSeries, ...], group: str 
         raise DataError("series spans do not overlap")
     if overlap < 2:
         raise DataError(f"overlapping span {start}..{end} is shorter than 2 months")
-    return SeriesPanel(group, tuple(slice_span(s, start, end) for s in series))
+    return SeriesPanel.from_series(group, tuple(slice_span(s, start, end) for s in series))
 
 
 def cumulative_growth(series: PriceSeries) -> float:
     """Last price divided by first price."""
     if len(series) < 2:
         raise DataError(f"series {series.currency} has {len(series)} point(s); need at least 2")
-    return series.points[-1].price / series.points[0].price
+    prices = series.prices()
+    return float(prices[-1] / prices[0])

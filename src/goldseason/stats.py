@@ -9,7 +9,10 @@ Significance testing conventions used throughout:
   t = r * sqrt((n - 2) / (1 - r^2)) with df = n - 2; |r| = 1 is assigned
   p = 0 by convention.
 * Two-sided tail probabilities come from the regularized incomplete beta
-  function, p = I_{df/(df+t^2)}(df/2, 1/2), accurate to well below 1e-10.
+  function, p = I_{df/(df+t^2)}(df/2, 1/2) = 1 - I_{t^2/(df+t^2)}(1/2, df/2),
+  evaluated in whichever form keeps its argument away from 1. The relative
+  error is at most 1e-9 wherever p >= 1e-300 (df in 1..5000, |t| in
+  [1e-12, 1e3], against 50-digit mpmath in the test suite).
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DataError, NumericError
-from .series import ReturnSeries, SeriesPanel, to_returns
+from .series import ReturnSeries, SeriesPanel
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -67,11 +70,21 @@ class MonthlyReturnSummary:
             raise DataError("per-month counts do not sum to the overall count")
 
 
-def _two_sided_p(t_stat: float, df: int) -> float:
-    """Two-sided Student-t tail probability via the incomplete beta function."""
-    if math.isinf(t_stat):
-        return 0.0
-    return float(special.betainc(df / 2.0, 0.5, df / (df + t_stat * t_stat)))
+def _two_sided_p(t_stat, df):
+    """Two-sided Student-t tail probabilities, elementwise over arrays of t and df.
+
+    p = I_y(df/2, 1/2) with y = df/(df+t^2). For small |t|, y rounds to a
+    double near 1 and p loses its digits, so wherever x = t^2/(df+t^2) is
+    at most 1/2 the same p is taken as the complement of I_x(1/2, df/2),
+    which `betaincc` computes directly.
+    """
+    t2, df = np.broadcast_arrays(np.square(t_stat, dtype=float), np.asarray(df, dtype=float))
+    p = np.asarray(special.betainc(df / 2.0, 0.5, df / (df + t2)))
+    with np.errstate(invalid="ignore"):  # |t| = inf: x is NaN and p stays 0
+        x = t2 / (df + t2)
+    small = x <= 0.5
+    p[small] = special.betaincc(0.5, df[small] / 2.0, x[small])
+    return p
 
 
 def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
@@ -89,7 +102,7 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
         raise NumericError("constant sample: zero variance, t-test undefined")
     t_stat = float((x.mean() - mu0) / (s / math.sqrt(n)))
     df = n - 1
-    return TTestResult(t_stat, df, _two_sided_p(t_stat, df))
+    return TTestResult(t_stat, df, float(_two_sided_p(t_stat, df)))
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -122,7 +135,7 @@ def correlation_significance(r: float, n: int, alpha: float = 0.05) -> Correlati
         return CorrelationTest(t_stat, 0.0, 0.0 < alpha)
     df = n - 2
     t_stat = r * math.sqrt(df / (1.0 - r * r))
-    p = _two_sided_p(t_stat, df)
+    p = float(_two_sided_p(t_stat, df))
     return CorrelationTest(t_stat, p, p < alpha)
 
 
@@ -135,64 +148,77 @@ def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyR
     """
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
-    buckets: dict[int, list[float]] = {m: [] for m in range(1, 13)}
-    for point in returns.points:
-        buckets[point.stamp.month].append(point.value)
-
-    per_month = []
-    for month in range(1, 13):
-        vals = buckets[month]
-        if len(vals) < 2:
+    values = returns.values()
+    months = (returns.start.month - 1 + np.arange(values.size)) % 12
+    counts = np.bincount(months, minlength=12)
+    with np.errstate(divide="ignore", invalid="ignore"):  # months with fewer than 2 values fail below
+        means = np.bincount(months, weights=values, minlength=12) / counts
+        deviations = values - means[months]
+        sds = np.sqrt(np.bincount(months, weights=deviations * deviations, minlength=12) / (counts - 1))
+    failed = (counts < 2) | (sds == 0.0)
+    if failed.any():
+        month = int(np.argmax(failed))
+        if counts[month] < 2:
             raise DataError(
-                f"calendar month {month} has {len(vals)} observation(s); at least 2 required"
+                f"calendar month {month + 1} has {counts[month]} observation(s); at least 2 required"
             )
-        try:
-            t_stat, _, p = one_sample_ttest(vals)
-        except NumericError as exc:
-            raise NumericError(f"calendar month {month}: {exc}") from None
-        per_month.append(MeanReturnStat(float(np.mean(vals)), len(vals), t_stat, p, p < alpha))
+        raise NumericError(f"calendar month {month + 1}: constant sample: zero variance, t-test undefined")
+    t_stats = means / (sds / np.sqrt(counts))
+    p_values = _two_sided_p(t_stats, counts - 1)
+    per_month = [
+        MeanReturnStat(mean, n, t_stat, p, p < alpha)
+        for mean, n, t_stat, p in zip(means.tolist(), counts.tolist(), t_stats.tolist(), p_values.tolist())
+    ]
 
-    all_vals = returns.values()
-    t_stat, _, p = one_sample_ttest(all_vals)
-    overall = MeanReturnStat(float(all_vals.mean()), int(all_vals.size), t_stat, p, p < alpha)
+    t_stat, _, p = one_sample_ttest(values)
+    overall = MeanReturnStat(float(values.mean()), int(values.size), t_stat, p, p < alpha)
     return MonthlyReturnSummary(returns.currency, alpha, tuple(per_month), overall)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelationMatrix:
-    """Symmetric pairwise Pearson matrix with per-cell significance flags."""
+    """Symmetric pairwise Pearson matrix with per-cell p-values and significance flags.
+
+    `values`, `p_values` and `significant` are read-only k x k arrays in
+    label order.
+    """
 
     labels: tuple[str, ...]
-    values: tuple[tuple[float, ...], ...]
-    p_values: tuple[tuple[float, ...], ...]
-    significant: tuple[tuple[bool, ...], ...]
+    values: np.ndarray
+    p_values: np.ndarray
+    significant: np.ndarray
     n: int
     basis: str
     alpha: float
 
     def __post_init__(self) -> None:
         k = len(self.labels)
-        if any(len(row) != k for row in self.values) or len(self.values) != k:
-            raise DataError("correlation matrix is not square")
-        for i in range(k):
-            if abs(self.values[i][i] - 1.0) > 1e-12:
-                raise DataError(f"diagonal entry for {self.labels[i]} is not 1")
-            for j in range(k):
-                v = self.values[i][j]
-                if abs(v) > 1.0 + 1e-12:
-                    raise DataError(f"correlation {v} outside [-1, 1]")
-                if abs(v - self.values[j][i]) > 1e-12:
-                    raise DataError("correlation matrix is not symmetric")
+        for name, dtype in (("values", float), ("p_values", float), ("significant", bool)):
+            array = np.array(getattr(self, name), dtype=dtype)
+            if array.shape != (k, k):
+                raise DataError(f"correlation {name} is not a {k} x {k} matrix")
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        values = self.values
+        not_unit = np.abs(values.diagonal() - 1.0) > 1e-12
+        if not_unit.any():
+            raise DataError(f"diagonal entry for {self.labels[int(np.argmax(not_unit))]} is not 1")
+        outside = np.abs(values) > 1.0 + 1e-12
+        if outside.any():
+            raise DataError(f"correlation {values[outside][0]} outside [-1, 1]")
+        if (np.abs(values - values.T) > 1e-12).any():
+            raise DataError("correlation matrix is not symmetric")
 
     def value(self, a: str, b: str) -> float:
-        return self.values[self.labels.index(a)][self.labels.index(b)]
+        return float(self.values[self.labels.index(a), self.labels.index(b)])
 
 
 def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0.05) -> CorrelationMatrix:
     """Pairwise Pearson correlations of panel series on prices or returns.
 
     Prices are correlated as raw levels, without detrending. The returns
-    basis correlates the month-over-month return series instead.
+    basis correlates the month-over-month return series instead. Each pair
+    is tested as in `correlation_significance`.
     """
     if basis not in (PRICES, RETURNS):
         raise DataError(f"basis must be {PRICES!r} or {RETURNS!r}, got {basis!r}")
@@ -200,28 +226,33 @@ def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
     if len(panel) < 2:
         raise DataError("correlation matrix needs at least 2 series")
-    if basis == PRICES:
-        data = [s.prices() for s in panel.series]
-    else:
-        data = [to_returns(s).values() for s in panel.series]
-    n = int(data[0].size)
-    k = len(data)
+    data = panel.prices if basis == PRICES else panel.returns()
+    n, k = data.shape
+    if n < 3:
+        raise DataError(f"correlation needs at least 3 pairs, got {n}")
+    deviations = data - data.mean(axis=0)
+    products = deviations.T @ deviations
+    sums_of_squares = products.diagonal()
+    if (sums_of_squares == 0.0).any():
+        raise NumericError("constant input: correlation undefined")
+    upper = np.triu_indices(k, 1)
+    r = products[upper] / np.sqrt(sums_of_squares[upper[0]] * sums_of_squares[upper[1]])
+    r = np.clip(r, -1.0, 1.0)
+    df = n - 2
+    with np.errstate(divide="ignore"):  # |r| = 1: t = +-inf, and p = 0
+        t_stats = r * np.sqrt(df / (1.0 - r * r))
+    p = _two_sided_p(t_stats, df)
 
-    values = [[1.0] * k for _ in range(k)]
-    p_values = [[0.0] * k for _ in range(k)]
-    significant = [[True] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            r = pearson(data[i], data[j])
-            test = correlation_significance(r, n, alpha)
-            values[i][j] = values[j][i] = r
-            p_values[i][j] = p_values[j][i] = test.p_value
-            significant[i][j] = significant[j][i] = test.significant
+    values = np.eye(k)
+    p_values = np.zeros((k, k))
+    for matrix, cells in ((values, r), (p_values, p)):
+        matrix[upper] = cells
+        matrix.T[upper] = cells
     return CorrelationMatrix(
         labels=panel.currencies,
-        values=tuple(tuple(row) for row in values),
-        p_values=tuple(tuple(row) for row in p_values),
-        significant=tuple(tuple(row) for row in significant),
+        values=values,
+        p_values=p_values,
+        significant=p_values < alpha,
         n=n,
         basis=basis,
         alpha=alpha,

@@ -1,39 +1,21 @@
-"""Deterministic synthetic series generation and a naive reference decomposition.
+"""Deterministic synthetic series generation.
 
 `generate_series` realizes trend * season * noise (or trend + season +
 noise) forward from explicit parameters, so decomposition tests can treat
 those parameters as ground truth. Randomness comes from numpy's PCG64
 generator seeded from the spec, which makes every series a pure function
 of its spec and reproducible across platforms.
-
-`reference_decompose` re-implements the decomposition pipeline with plain
-Python loops, exact summation (math.fsum) and an explicitly solved 2x2
-normal-equation OLS. It shares no numeric code with
-`goldseason.decompose.decompose` and exists so the two routes can be
-checked against each other; it is not meant for production use.
 """
 
 from __future__ import annotations
 
-import math
-import statistics
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import (
-    MEDIAN,
-    MULTIPLICATIVE,
-    AccuracyMetrics,
-    DecompositionResult,
-    SeasonalIndices,
-    TrendLine,
-    _check_aggregator,
-    _check_model,
-    _coerce,
-)
+from .decompose import MULTIPLICATIVE, SeasonalIndices, _check_model
 from .errors import DataError
-from .series import MonthStamp, PricePoint, PriceSeries
+from .series import MonthStamp, PriceSeries
 
 
 @dataclass(frozen=True)
@@ -78,10 +60,9 @@ def generate_series(spec: GeneratorSpec) -> PriceSeries:
     since a PriceSeries cannot hold them.
     """
     t = np.arange(1, spec.length + 1, dtype=float)
-    stamps = [spec.start.shift(i) for i in range(spec.length)]
-    months = np.array([s.month for s in stamps])
+    months = (spec.start.month - 1 + np.arange(spec.length)) % 12
     trend = spec.intercept + spec.slope * t
-    season = np.asarray(spec.indices)[months - 1]
+    season = np.asarray(spec.indices)[months]
 
     if spec.model == MULTIPLICATIVE:
         values = trend * season
@@ -97,109 +78,7 @@ def generate_series(spec: GeneratorSpec) -> PriceSeries:
     if (values <= 0.0).any():
         bad = int(np.argmax(values <= 0.0))
         raise DataError(
-            f"generated non-positive value {values[bad]:.6g} at {stamps[bad]} "
+            f"generated non-positive value {values[bad]:.6g} at {spec.start.shift(bad)} "
             f"({spec.model} model); raise the intercept or reduce the noise"
         )
-    points = tuple(PricePoint(s, float(v)) for s, v in zip(stamps, values))
-    return PriceSeries(spec.currency, points)
-
-
-def reference_decompose(
-    data,
-    stamps=None,
-    model: str = MULTIPLICATIVE,
-    period: int = 12,
-    aggregator: str = MEDIAN,
-) -> DecompositionResult:
-    """Naive loop-based decomposition with the same contract as `decompose`."""
-    _check_model(model)
-    _check_aggregator(aggregator)
-    values_arr, stamps = _coerce(data, stamps)
-    values = [float(v) for v in values_arr]
-    n = len(values)
-    if n < 2 * period:
-        raise DataError(f"need at least {2 * period} observations for period {period}, got {n}")
-    if model == MULTIPLICATIVE and any(v <= 0.0 for v in values):
-        raise DataError("multiplicative model requires positive values")
-    if period == 12:
-        if stamps is None:
-            raise DataError("stamps are required to group by calendar month")
-        positions = [s.month for s in stamps]
-    else:
-        positions = [(i % period) + 1 for i in range(n)]
-
-    # centered moving average, endpoints half-weighted for even periods
-    half = period // 2 if period % 2 == 0 else (period - 1) // 2
-    ma: list[float | None] = [None] * n
-    for i in range(half, n - half):
-        if period % 2 == 0:
-            window = [0.5 * values[i - half], 0.5 * values[i + half]]
-            window.extend(values[i - half + 1:i + half])
-        else:
-            window = values[i - half:i + half + 1]
-        ma[i] = math.fsum(window) / period
-
-    buckets: dict[int, list[float]] = {p: [] for p in range(1, period + 1)}
-    for i in range(n):
-        m = ma[i]
-        if m is None:
-            continue
-        raw = values[i] / m if model == MULTIPLICATIVE else values[i] - m
-        buckets[positions[i]].append(raw)
-
-    aggregates = []
-    for pos in range(1, period + 1):
-        bucket = buckets[pos]
-        if not bucket:
-            raise DataError(f"no detrended observations for seasonal position {pos}")
-        if aggregator == MEDIAN:
-            aggregates.append(statistics.median(bucket))
-        else:
-            aggregates.append(math.fsum(bucket) / len(bucket))
-
-    center = math.fsum(aggregates) / period
-    if model == MULTIPLICATIVE:
-        index_values = [a / center for a in aggregates]
-    else:
-        index_values = [a - center for a in aggregates]
-    indices = SeasonalIndices(model, tuple(index_values))
-
-    if model == MULTIPLICATIVE:
-        deseason = [values[i] / index_values[positions[i] - 1] for i in range(n)]
-    else:
-        deseason = [values[i] - index_values[positions[i] - 1] for i in range(n)]
-
-    # OLS on t = 1..n by explicitly solved normal equations
-    st = math.fsum(range(1, n + 1))
-    stt = math.fsum(t * t for t in range(1, n + 1))
-    sy = math.fsum(deseason)
-    sty = math.fsum((i + 1) * deseason[i] for i in range(n))
-    det = n * stt - st * st
-    slope = (n * sty - st * sy) / det
-    intercept = (sy * stt - st * sty) / det
-    trend = TrendLine(intercept, slope)
-
-    fitted = []
-    irregular = []
-    for i in range(n):
-        tv = intercept + slope * (i + 1)
-        f = tv * index_values[positions[i] - 1] if model == MULTIPLICATIVE else tv + index_values[positions[i] - 1]
-        fitted.append(f)
-        irregular.append(values[i] / f if model == MULTIPLICATIVE else values[i] - f)
-
-    abs_err = [abs(values[i] - fitted[i]) for i in range(n)]
-    if any(v == 0.0 for v in values):
-        mape = math.nan
-    else:
-        mape = 100.0 * math.fsum(abs_err[i] / abs(values[i]) for i in range(n)) / n
-    mad = math.fsum(abs_err) / n
-    msd = math.fsum(e * e for e in abs_err) / n
-
-    return DecompositionResult(
-        model=model,
-        indices=indices,
-        trend=trend,
-        fitted=tuple(fitted),
-        irregular=tuple(irregular),
-        accuracy=AccuracyMetrics(mape, mad, msd),
-    )
+    return PriceSeries(spec.currency, spec.start, values)

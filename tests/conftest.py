@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from goldseason import MonthStamp, PricePoint, PriceSeries, ReturnPoint, ReturnSeries
+from goldseason import MonthStamp, PriceSeries, ReturnSeries
 
 
 def make_stamps(start: str, n: int) -> list[MonthStamp]:
@@ -10,13 +10,11 @@ def make_stamps(start: str, n: int) -> list[MonthStamp]:
 
 
 def make_series(values, start="2000-01", currency="USD") -> PriceSeries:
-    stamps = make_stamps(start, len(values))
-    return PriceSeries(currency, tuple(PricePoint(s, float(v)) for s, v in zip(stamps, values)))
+    return PriceSeries(currency, MonthStamp.parse(start), values)
 
 
 def make_returns(values, start="2000-02", currency="USD") -> ReturnSeries:
-    stamps = make_stamps(start, len(values))
-    return ReturnSeries(currency, tuple(ReturnPoint(s, float(v)) for s, v in zip(stamps, values)))
+    return ReturnSeries(currency, MonthStamp.parse(start), values)
 
 
 @pytest.fixture

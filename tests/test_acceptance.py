@@ -27,13 +27,13 @@ from goldseason import (
     one_sample_ttest,
     parse_panel_csv,
     pearson,
-    reference_decompose,
     seasonal_deviation_percent,
     slice_span,
     to_returns,
 )
 
 from conftest import make_series
+from reference_decompose import reference_decompose
 from reference_tables import (
     CONSUMER_INDICES,
     CONSUMER_SIGNS,
@@ -162,10 +162,10 @@ class TestCriterion4:
                 series = generate_series(spec)
                 rets = to_returns(series)
                 assert len(rets) == len(series) - 1
-                acc = series.points[0].price
-                for point in rets.points:
-                    acc *= 1.0 + point.value
-                assert acc == pytest.approx(series.points[-1].price, rel=1e-12)
+                acc = series.prices()[0]
+                for value in rets.values():
+                    acc *= 1.0 + value
+                assert acc == pytest.approx(series.prices()[-1], rel=1e-12)
 
 
 class TestCriterion5:
@@ -185,7 +185,7 @@ class TestCriterion5:
                                     currency=chr(65 + i) * 3)
                         for i in range(k)
                     )
-                    matrix = correlation_matrix(SeriesPanel("g", series), basis)
+                    matrix = correlation_matrix(SeriesPanel.from_series("g", series), basis)
                     values = np.array(matrix.values)
                     assert np.array_equal(values, values.T)
                     assert (np.diag(values) == 1.0).all()
@@ -243,7 +243,7 @@ class TestCriterion9:
         cutoff = MonthStamp(2016, 2)
         if panel.end > cutoff:
             from goldseason import SeriesPanel
-            panel = SeriesPanel("majors", tuple(
+            panel = SeriesPanel.from_series("majors", tuple(
                 slice_span(s, s.start, cutoff) for s in panel.series
             ))
         return panel

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -163,7 +164,7 @@ class TestOneAnalysisPath:
 
     def test_single_currency_correlate_fails_but_report_omits_it(self, tmp_path, capsys):
         path = tmp_path / "solo.csv"
-        path.write_text(render_panel_csv(SeriesPanel("solo", two_currency_panel().series[:1])))
+        path.write_text(render_panel_csv(SeriesPanel.from_series("solo", two_currency_panel().series[:1])))
         assert run_cli(["correlate", "--input", str(path)]) == 2
         assert "at least 2 series" in capsys.readouterr().err
         assert run_cli(["report", "--input", str(path)]) == 0
@@ -215,6 +216,28 @@ class TestExitCodes:
         code = run_cli(["returns", "--input", str(flat)])
         assert code == 3
         assert "constant" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tiny, after", [(1e-310, 100.0), (1e-300, 1e10)])
+    @pytest.mark.parametrize("command", ["returns", "correlate", "decompose", "report"])
+    def test_overflowing_return_is_numeric_error(self, tmp_path, capsys, command, tiny, after):
+        rows = ["date,AAA,BBB"] + [f"{2000 + i // 12}-{i % 12 + 1:02d},{100.0 + i % 5},{50.0 + i % 7}"
+                                   for i in range(36)]
+        rows[5] = f"2000-05,{tiny},54.0"
+        rows[6] = f"2000-06,{after},55.0"
+        path = tmp_path / "overflow.csv"
+        path.write_text("\n".join(rows) + "\n")
+        for fmt in ("md", "json"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli([command, "--input", str(path), "--format", fmt])
+            captured = capsys.readouterr()
+            assert code in (0, 3)
+            assert caught == []
+            assert "inf" not in captured.out.lower()
+            assert "Traceback" not in captured.err
+            if command in ("returns", "correlate", "report"):
+                assert code == 3
+                assert "AAA at 2000-0" in captured.err
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0

@@ -7,6 +7,7 @@ from goldseason import (
     ADDITIVE,
     MULTIPLICATIVE,
     DataError,
+    MonthStamp,
     NumericError,
     SeasonalIndices,
     accuracy_metrics,
@@ -29,7 +30,7 @@ def synthetic(model, intercept, slope, indices, n=240, start="1990-01"):
     months = np.array([s.month for s in stamps])
     trend = intercept + slope * t
     values = trend * idx[months - 1] if model == MULTIPLICATIVE else trend + idx[months - 1]
-    return values, stamps, idx
+    return values, stamps[0], idx
 
 
 class TestCenteredMA:
@@ -66,63 +67,63 @@ class TestCenteredMA:
 class TestSeasonalIndices:
     def test_recovers_multiplicative_indices_flat_trend(self, rng):
         truth = 1 + rng.uniform(-0.05, 0.05, 12)
-        values, stamps, idx = synthetic(MULTIPLICATIVE, 250.0, 0.0, truth)
-        est = seasonal_indices(values, stamps, MULTIPLICATIVE)
+        values, start, idx = synthetic(MULTIPLICATIVE, 250.0, 0.0, truth)
+        est = seasonal_indices(values, start, MULTIPLICATIVE)
         np.testing.assert_allclose(est.values, idx, atol=1e-9)
 
     def test_recovers_additive_indices_with_trend(self, rng):
         truth = rng.uniform(-10, 10, 12)
-        values, stamps, idx = synthetic(ADDITIVE, 500.0, 1.7, truth)
-        est = seasonal_indices(values, stamps, ADDITIVE)
+        values, start, idx = synthetic(ADDITIVE, 500.0, 1.7, truth)
+        est = seasonal_indices(values, start, ADDITIVE)
         np.testing.assert_allclose(est.values, idx, atol=1e-9)
 
     def test_multiplicative_trend_interaction_bias_is_small(self, rng):
         # ratio-to-MA estimation interacts with a sloped trend, so exact
         # recovery is not expected here, only sub-0.005 accuracy
         truth = 1 + rng.uniform(-0.05, 0.05, 12)
-        values, stamps, idx = synthetic(MULTIPLICATIVE, 117.2, 2.09, truth)
-        est = seasonal_indices(values, stamps, MULTIPLICATIVE)
+        values, start, idx = synthetic(MULTIPLICATIVE, 117.2, 2.09, truth)
+        est = seasonal_indices(values, start, MULTIPLICATIVE)
         np.testing.assert_allclose(est.values, idx, atol=5e-3)
 
     def test_pure_trend_gives_neutral_indices(self):
-        values, stamps, _ = synthetic(MULTIPLICATIVE, 100.0, 2.0, np.ones(12))
-        est = seasonal_indices(values, stamps, MULTIPLICATIVE)
+        values, start, _ = synthetic(MULTIPLICATIVE, 100.0, 2.0, np.ones(12))
+        est = seasonal_indices(values, start, MULTIPLICATIVE)
         np.testing.assert_allclose(est.values, 1.0, atol=1e-9)
-        values, stamps, _ = synthetic(ADDITIVE, 100.0, 2.0, np.zeros(12))
-        est = seasonal_indices(values, stamps, ADDITIVE)
+        values, start, _ = synthetic(ADDITIVE, 100.0, 2.0, np.zeros(12))
+        est = seasonal_indices(values, start, ADDITIVE)
         np.testing.assert_allclose(est.values, 0.0, atol=1e-9)
 
     def test_mean_aggregator(self, rng):
         truth = 1 + rng.uniform(-0.03, 0.03, 12)
-        values, stamps, idx = synthetic(MULTIPLICATIVE, 300.0, 0.0, truth)
-        est = seasonal_indices(values, stamps, MULTIPLICATIVE, aggregator="mean")
+        values, start, idx = synthetic(MULTIPLICATIVE, 300.0, 0.0, truth)
+        est = seasonal_indices(values, start, MULTIPLICATIVE, aggregator="mean")
         np.testing.assert_allclose(est.values, idx, atol=1e-9)
 
     def test_normalization_exact(self, rng):
         values = rng.uniform(50, 150, 120)
-        stamps = make_stamps("2000-01", 120)
-        mult = seasonal_indices(values, stamps, MULTIPLICATIVE)
+        start = MonthStamp.parse("2000-01")
+        mult = seasonal_indices(values, start, MULTIPLICATIVE)
         assert abs(np.mean(mult.values) - 1.0) <= 1e-12
-        add = seasonal_indices(values, stamps, ADDITIVE)
+        add = seasonal_indices(values, start, ADDITIVE)
         assert abs(np.sum(add.values)) <= 1e-12 * max(1.0, np.abs(add.values).max())
 
     def test_multiplicative_rejects_nonpositive_named(self):
         values = np.full(36, 10.0)
         values[5] = -1.0
-        stamps = make_stamps("2000-01", 36)
+        start = MonthStamp.parse("2000-01")
         with pytest.raises(DataError, match="2000-06"):
-            seasonal_indices(values, stamps, MULTIPLICATIVE)
+            seasonal_indices(values, start, MULTIPLICATIVE)
 
     def test_too_short(self):
         with pytest.raises(DataError, match="at least 24"):
-            seasonal_indices([1.0] * 23, make_stamps("2000-01", 23), MULTIPLICATIVE)
+            seasonal_indices([1.0] * 23, MonthStamp(2000, 1), MULTIPLICATIVE)
 
     def test_invalid_model_and_aggregator(self):
-        stamps = make_stamps("2000-01", 24)
+        start = MonthStamp.parse("2000-01")
         with pytest.raises(DataError, match="model"):
-            seasonal_indices([1.0] * 24, stamps, "mult")
+            seasonal_indices([1.0] * 24, start, "mult")
         with pytest.raises(DataError, match="aggregator"):
-            seasonal_indices([1.0] * 24, stamps, MULTIPLICATIVE, aggregator="mode")
+            seasonal_indices([1.0] * 24, start, MULTIPLICATIVE, aggregator="mode")
 
     def test_from_values_normalizes(self):
         idx = SeasonalIndices.from_values(MULTIPLICATIVE, [2.0] * 12)
@@ -202,8 +203,8 @@ class TestDecompose:
 
     def test_noise_free_additive_round_trip(self, rng):
         truth = rng.uniform(-10, 10, 12)
-        values, stamps, idx = synthetic(ADDITIVE, 400.0, 1.3, truth)
-        result = decompose(values, stamps, model=ADDITIVE)
+        values, start, idx = synthetic(ADDITIVE, 400.0, 1.3, truth)
+        result = decompose(values, start, model=ADDITIVE)
         np.testing.assert_allclose(result.indices.values, idx, atol=1e-9)
         assert result.trend.intercept == pytest.approx(400.0, rel=1e-6)
         assert result.trend.slope == pytest.approx(1.3, rel=1e-6)
@@ -211,8 +212,8 @@ class TestDecompose:
 
     def test_noise_free_multiplicative_flat_trend_round_trip(self, rng):
         truth = 1 + rng.uniform(-0.05, 0.05, 12)
-        values, stamps, idx = synthetic(MULTIPLICATIVE, 320.0, 0.0, truth)
-        result = decompose(values, stamps, model=MULTIPLICATIVE)
+        values, start, idx = synthetic(MULTIPLICATIVE, 320.0, 0.0, truth)
+        result = decompose(values, start, model=MULTIPLICATIVE)
         np.testing.assert_allclose(result.indices.values, idx, atol=1e-9)
         assert result.trend.intercept == pytest.approx(320.0, rel=1e-6)
         assert abs(result.trend.slope) < 1e-9
@@ -220,17 +221,17 @@ class TestDecompose:
 
     def test_reconstruction_identities(self, rng):
         n = 120
-        stamps = make_stamps("1995-01", n)
+        start = MonthStamp.parse("1995-01")
         values = rng.uniform(100, 200, n) + np.linspace(0, 50, n)
-        mult = decompose(values, stamps, model=MULTIPLICATIVE)
+        mult = decompose(values, start, model=MULTIPLICATIVE)
         np.testing.assert_allclose(np.array(mult.fitted) * np.array(mult.irregular), values, rtol=1e-10)
-        add = decompose(values, stamps, model=ADDITIVE)
+        add = decompose(values, start, model=ADDITIVE)
         np.testing.assert_allclose(np.array(add.fitted) + np.array(add.irregular), values, atol=1e-10 * values.max())
 
     def test_deterministic(self, rng):
         values = rng.uniform(50, 150, 96)
-        stamps = make_stamps("2001-01", 96)
-        assert decompose(values, stamps) == decompose(values.copy(), list(stamps))
+        start = MonthStamp.parse("2001-01")
+        assert decompose(values, start) == decompose(values.tolist(), start)
 
     def test_accepts_price_series(self, rng):
         series = make_series(rng.uniform(100, 120, 60))
@@ -238,27 +239,27 @@ class TestDecompose:
         assert len(result.fitted) == 60
 
     def test_plain_values_require_stamps(self, rng):
-        with pytest.raises(DataError, match="stamps"):
+        with pytest.raises(DataError, match="start month"):
             decompose(rng.uniform(1, 2, 48).tolist())
 
     def test_gold_like_panel_has_small_seasonal_effects(self, rng):
         # realistically proportioned synthetic data: indices within a few
         # percent of neutral must come back within 5% of neutral
         truth = 1 + rng.uniform(-0.02, 0.02, 12)
-        values, stamps, _ = synthetic(MULTIPLICATIVE, 226.0, 2.3, truth, n=447)
+        values, start, _ = synthetic(MULTIPLICATIVE, 226.0, 2.3, truth, n=447)
         values = values * np.exp(rng.normal(0.0, 0.05, 447))
-        result = decompose(values, stamps)
+        result = decompose(values, start)
         assert max(abs(v - 1.0) for v in result.indices.values) < 0.05
 
     def test_mape_nan_when_actual_has_zero(self):
-        stamps = make_stamps("2000-01", 48)
+        start = MonthStamp.parse("2000-01")
         values = np.arange(48, dtype=float) - 10.0  # exact zero at position 10
-        result = decompose(values, stamps, model=ADDITIVE)
+        result = decompose(values, start, model=ADDITIVE)
         assert math.isnan(result.accuracy.mape)
         assert math.isfinite(result.accuracy.mad)
         assert math.isfinite(result.accuracy.msd)
         values[10], values[20] = 1e-310, 15.0  # a subnormal actual off the fit overflows MAPE
-        assert math.isnan(decompose(values, stamps, model=ADDITIVE).accuracy.mape)
+        assert math.isnan(decompose(values, start, model=ADDITIVE).accuracy.mape)
 
 
 class TestSeasonalDeviationPercent:

@@ -36,7 +36,7 @@ def two_currency_panel() -> SeriesPanel:
         model=MULTIPLICATIVE, intercept=150.0, slope=2.4,
         indices=tuple(1 + 0.02 * np.cos(2 * np.pi * np.arange(12) / 12)),
         noise_sd=0.05, length=180, seed=202, start=MonthStamp(1998, 1), currency="BBB"))
-    return SeriesPanel("twosynth", (a, b))
+    return SeriesPanel.from_series("twosynth", (a, b))
 
 
 def table_indices(table) -> dict[str, SeasonalIndices]:
@@ -113,15 +113,15 @@ class TestReportConfig:
 
 class TestRenderReport:
     def test_markdown_matches_golden_file(self):
-        doc = render_report(two_currency_panel(), ReportConfig(group="twosynth"))
+        doc = render_report(two_currency_panel(), ReportConfig())
         assert doc == (DATA_DIR / "golden_report.md").read_text(encoding="utf-8")
 
     def test_output_is_deterministic(self):
-        config = ReportConfig(group="twosynth")
+        config = ReportConfig()
         assert render_report(two_currency_panel(), config) == render_report(two_currency_panel(), config)
 
     def test_json_structure(self):
-        doc = render_report(two_currency_panel(), ReportConfig(group="twosynth", fmt="json"))
+        doc = render_report(two_currency_panel(), ReportConfig(fmt="json"))
         payload = json.loads(doc)
         assert set(payload) >= {"returns", "correlations", "decomposition", "signs"}
         assert set(payload["returns"]) == {"AAA", "BBB"}
@@ -132,7 +132,7 @@ class TestRenderReport:
 
     def test_markdown_stars_match_p_values(self):
         panel = two_currency_panel()
-        config = ReportConfig(group="twosynth")
+        config = ReportConfig()
         analysis = analyze_panel(panel, config)
         doc = render_report(panel, config)
         lines = [ln for ln in doc.splitlines() if re.match(r"\| \d+ \|", ln)]
@@ -198,16 +198,16 @@ class TestAnalyzePanel:
         series = generate_series(GeneratorSpec(
             model=MULTIPLICATIVE, intercept=150.0, slope=1.0,
             indices=(1.0,) * 12, noise_sd=0.03, length=60, currency="AAA"))
-        analysis = analyze_panel(SeriesPanel("solo", (series,)), ReportConfig(group="solo"))
+        analysis = analyze_panel(SeriesPanel.from_series("solo", (series,)), ReportConfig())
         assert analysis.price_correlation is None
         assert analysis.return_correlation is None
-        doc = render_report(SeriesPanel("solo", (series,)), ReportConfig(group="solo"))
+        doc = render_report(SeriesPanel.from_series("solo", (series,)), ReportConfig())
         assert "Correlation" not in doc
 
     def test_signs_respect_quorum_config(self):
         panel = two_currency_panel()
-        strict = analyze_panel(panel, ReportConfig(group="g", quorum=2))
-        loose = analyze_panel(panel, ReportConfig(group="g", quorum=1))
+        strict = analyze_panel(panel, ReportConfig(quorum=2))
+        loose = analyze_panel(panel, ReportConfig(quorum=1))
         plus_strict = strict.signs.count("+") + strict.signs.count("-")
         plus_loose = loose.signs.count("+") + loose.signs.count("-")
         assert plus_loose >= plus_strict

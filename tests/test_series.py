@@ -4,8 +4,7 @@ import pytest
 from goldseason import (
     DataError,
     MonthStamp,
-    PricePoint,
-    PriceSeries,
+    NumericError,
     SeriesPanel,
     align_panel,
     cumulative_growth,
@@ -43,10 +42,11 @@ class TestMonthStamp:
 
 class TestConstruction:
     def test_price_must_be_positive(self):
+        # prices are validated where they are read, by parse_panel_csv
         with pytest.raises(DataError):
-            PricePoint(MonthStamp(2000, 1), 0.0)
+            parse_panel_csv("date,USD\n2000-01,0.0\n")
         with pytest.raises(DataError):
-            PricePoint(MonthStamp(2000, 1), -5.0)
+            parse_panel_csv("date,USD\n2000-01,-5.0\n")
 
     def test_currency_code_must_be_three_letters(self):
         with pytest.raises(DataError):
@@ -55,23 +55,43 @@ class TestConstruction:
             make_series([1.0, 2.0], currency="US1")
 
     def test_series_rejects_gap(self):
-        points = (
-            PricePoint(MonthStamp(2000, 1), 1.0),
-            PricePoint(MonthStamp(2000, 3), 1.0),
-        )
+        # a series is a start stamp plus values, so only the parser can see a gap
         with pytest.raises(DataError, match="2000-02"):
-            PriceSeries("USD", points)
+            parse_panel_csv("date,USD\n2000-01,1.0\n2000-03,1.0\n")
 
     def test_panel_rejects_duplicate_codes(self):
         a = make_series([1.0, 2.0])
         with pytest.raises(DataError, match="duplicate"):
-            SeriesPanel("g", (a, a))
+            SeriesPanel.from_series("g", (a, a))
+        with pytest.raises(DataError, match="duplicate"):
+            SeriesPanel("g", MonthStamp(2000, 1), ("USD", "USD"), np.ones((2, 2)))
 
     def test_panel_rejects_span_mismatch(self):
         a = make_series([1.0, 2.0, 3.0])
         b = make_series([1.0, 2.0], currency="EUR")
         with pytest.raises(DataError, match="span"):
-            SeriesPanel("g", (a, b))
+            SeriesPanel.from_series("g", (a, b))
+
+    def test_panel_rejects_shape_mismatch(self):
+        with pytest.raises(DataError, match="columns"):
+            SeriesPanel("g", MonthStamp(2000, 1), ("USD", "EUR"), np.ones((3, 3)))
+        with pytest.raises(DataError, match="2-D"):
+            SeriesPanel("g", MonthStamp(2000, 1), ("USD",), np.ones(3))
+
+    def test_panel_is_read_only_columns_are_views(self, small_csv):
+        panel = parse_panel_csv(small_csv)
+        assert panel.prices.shape == (3, 2)
+        assert not panel.prices.flags.writeable
+        assert np.shares_memory(panel.series[1].prices(), panel.prices)
+        with pytest.raises(ValueError):
+            panel.series[0].prices()[0] = 1.0
+
+    def test_series_copies_writable_input(self):
+        values = np.array([1.0, 2.0])
+        series = make_series(values)
+        values[0] = 9.0
+        assert series.prices().tolist() == [1.0, 2.0]
+        assert series.end == MonthStamp(2000, 2)
 
 
 class TestParsePanelCsv:
@@ -162,6 +182,16 @@ class TestToReturns:
     def test_too_short(self):
         with pytest.raises(DataError, match="at least 2"):
             to_returns(make_series([100.0]))
+
+    @pytest.mark.parametrize("prices", [[100.0, 1e-310, 100.0], [1e-300, 1e10]])
+    def test_overflowing_return_names_currency_and_month(self, prices):
+        with pytest.raises(NumericError, match="EUR at 2000-0[23]"):
+            to_returns(make_series(prices, currency="EUR"))
+
+    def test_panel_returns_match_series_returns(self, rng):
+        panel = align_panel([make_series(rng.uniform(50, 500, 30), currency=code) for code in ("USD", "EUR")])
+        for j, series in enumerate(panel.series):
+            np.testing.assert_array_equal(panel.returns()[:, j], to_returns(series).values())
 
     def test_matches_elementwise_recomputation(self, rng):
         prices = rng.uniform(50, 500, size=60)

@@ -15,6 +15,8 @@ from goldseason import (
     pearson,
 )
 
+from goldseason.stats import _two_sided_p
+
 from conftest import make_returns, make_series
 
 
@@ -71,6 +73,34 @@ class TestOneSampleTTest:
     def test_too_small(self):
         with pytest.raises(NumericError, match="at least 2"):
             one_sample_ttest([1.0], 0.0)
+
+
+class TestTwoSidedP:
+    def test_matches_mpmath(self):
+        # 50-digit reference: p = I_x(df/2, 1/2) with x = df/(df+t^2), over
+        # the grid the module docstring states its accuracy for
+        mpmath = pytest.importorskip("mpmath")
+        mpmath.mp.dps = 50
+        dfs = np.array([1, 2, 3, 4, 5, 7, 10, 20, 30, 58, 100, 228, 445, 1000, 2000, 5000])
+        ts = np.concatenate([-np.geomspace(1e-12, 1e3, 46), [0.0], np.geomspace(1e-12, 1e3, 46)])
+        got = _two_sided_p(ts[:, None], dfs[None, :])
+        worst = 0.0
+        for i, t in enumerate(ts):
+            for j, df in enumerate(dfs):
+                t_mp = mpmath.mpf(float(t))
+                x = mpmath.mpf(int(df)) / (int(df) + t_mp * t_mp)
+                want = mpmath.betainc(mpmath.mpf(int(df)) / 2, mpmath.mpf(1) / 2, 0, x, regularized=True)
+                if want < mpmath.mpf("1e-300"):
+                    continue
+                worst = max(worst, float(abs(mpmath.mpf(float(got[i, j])) - want) / want))
+        assert worst <= 1e-9
+
+    def test_arrays_and_scalars_agree(self):
+        t = np.array([0.0, 0.3, -2.0, 40.0, math.inf])
+        df = np.array([1, 10, 100, 5000, 3])
+        assert _two_sided_p(t, df).tolist() == [float(_two_sided_p(a, b)) for a, b in zip(t, df)]
+        assert _two_sided_p(math.inf, 3) == 0.0
+        assert _two_sided_p(0.0, 3) == 1.0
 
 
 class TestPearson:
@@ -188,7 +218,7 @@ class TestCorrelationMatrix:
         base = np.cumsum(rng.normal(0.5, 2.0, n)) + 100.0
         affine = 2.0 * base + 7.0
         noise = rng.uniform(50.0, 60.0, n)
-        return SeriesPanel("g", (
+        return SeriesPanel.from_series("g", (
             make_series(base, currency="AAA"),
             make_series(affine, currency="BBB"),
             make_series(noise, currency="CCC"),
@@ -212,14 +242,14 @@ class TestCorrelationMatrix:
 
     def test_identical_series_fully_correlated(self, rng):
         vals = rng.uniform(100, 200, 40)
-        panel = SeriesPanel("g", (make_series(vals, currency="AAA"),
+        panel = SeriesPanel.from_series("g", (make_series(vals, currency="AAA"),
                                   make_series(vals, currency="BBB")))
         matrix = correlation_matrix(panel, basis="prices")
         assert matrix.value("AAA", "BBB") == 1.0
         assert matrix.significant[0][1]
 
     def test_needs_two_series(self):
-        panel = SeriesPanel("g", (make_series([1.0, 2.0, 3.0]),))
+        panel = SeriesPanel.from_series("g", (make_series([1.0, 2.0, 3.0]),))
         with pytest.raises(DataError, match="at least 2"):
             correlation_matrix(panel)
 

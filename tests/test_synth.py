@@ -9,10 +9,10 @@ from goldseason import (
     MonthStamp,
     decompose,
     generate_series,
-    reference_decompose,
 )
 
 from conftest import make_series
+from reference_decompose import reference_decompose
 
 
 def spec_with(**kwargs):
