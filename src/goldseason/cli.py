@@ -101,7 +101,11 @@ def _load_panel(args) -> SeriesPanel:
     path = Path(args.input)
     if not path.is_file():
         raise UsageError(f"input file not found: {path}")
-    panel = parse_panel_csv(path.read_text(encoding="utf-8"), args.group)
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
+    panel = parse_panel_csv(text, args.group)
     start = _parse_stamp_flag(args.start, "--start") or panel.start
     end = _parse_stamp_flag(args.end, "--end") or panel.end
     if (start, end) != (panel.start, panel.end):

@@ -1,10 +1,9 @@
-"""Classical seasonal decomposition with a linear trend, period 12 by default.
+"""Classical seasonal decomposition of a monthly series with a linear trend.
 
-The pipeline estimates, in order:
+The seasonal axis is the calendar month. The pipeline estimates, in order:
 
-1. a centered moving average over one full seasonal cycle (half-weighted
-   endpoints when the period is even, so the window stays centered on a
-   single month);
+1. a centered 2x12 moving average (13 observations with half-weighted
+   endpoints, so the window stays centered on a single month);
 2. raw seasonals as value/MA (multiplicative) or value-MA (additive)
    wherever the MA is defined, grouped by calendar month and aggregated
    with the median (default) or mean;
@@ -21,8 +20,8 @@ last half-cycle of raw seasonals are simply absent (no backcasting), which
 only reduces the per-month bucket sizes.
 
 MAPE is reported in percent. It is undefined when any actual value is
-zero, or so small that the percentage errors overflow; `decompose` then
-stores NaN while `accuracy_metrics` raises.
+zero or so small that the percentage errors overflow, and MSD when the
+squared errors overflow; `decompose` then stores NaN, `accuracy_metrics` raises.
 """
 
 from __future__ import annotations
@@ -52,6 +51,11 @@ def _check_aggregator(aggregator: str) -> None:
         raise DataError(f"aggregator must be {MEDIAN!r} or {MEAN!r}, got {aggregator!r}")
 
 
+def _check_twelve(values: Sequence[float]) -> None:
+    if len(values) != 12:
+        raise DataError(f"need 12 seasonal indices, got {len(values)}")
+
+
 @dataclass(frozen=True)
 class SeasonalIndices:
     """Normalized per-month seasonal factors (multiplicative) or offsets (additive)."""
@@ -61,8 +65,7 @@ class SeasonalIndices:
 
     def __post_init__(self) -> None:
         _check_model(self.model)
-        if len(self.values) < 2:
-            raise DataError("seasonal indices need at least 2 entries")
+        _check_twelve(self.values)
         scale = max(1.0, max(abs(v) for v in self.values))
         if self.model == MULTIPLICATIVE:
             if abs(sum(self.values) / len(self.values) - 1.0) > 1e-12 * scale:
@@ -75,6 +78,7 @@ class SeasonalIndices:
     def from_values(cls, model: str, values: Sequence[float]) -> "SeasonalIndices":
         """Build indices from raw per-month aggregates, normalizing them."""
         _check_model(model)
+        _check_twelve(values)
         v = np.asarray(values, dtype=float)
         if model == MULTIPLICATIVE:
             mean = v.mean()
@@ -84,14 +88,6 @@ class SeasonalIndices:
         else:
             v = v - v.mean()
         return cls(model, tuple(float(x) for x in v))
-
-    @property
-    def period(self) -> int:
-        return len(self.values)
-
-    def for_month(self, month: int) -> float:
-        """Index for a 1-based calendar month (or seasonal position)."""
-        return self.values[month - 1]
 
 
 @dataclass(frozen=True)
@@ -129,74 +125,52 @@ class DecompositionResult:
     accuracy: AccuracyMetrics
 
 
-def centered_ma(values: Sequence[float], period: int = 12) -> np.ndarray:
-    """Centered moving average over one seasonal cycle.
+def centered_ma(values: Sequence[float]) -> np.ndarray:
+    """Centered 2x12 moving average.
 
-    For an even period p the window spans p+1 observations with the two
-    endpoints half-weighted; the result is NaN for the first and last p/2
-    positions. Odd periods use a plain symmetric window of length p.
+    The window spans 13 observations with the two endpoints half-weighted;
+    the result is NaN for the first and last 6 positions.
     """
     x = np.asarray(values, dtype=float)
-    if period < 2:
-        raise DataError(f"period must be at least 2, got {period}")
-    if x.size < period + 1:
-        raise DataError(f"series too short for centered MA: {x.size} < {period + 1}")
-    if period % 2 == 0:
-        weights = np.concatenate(([0.5], np.ones(period - 1), [0.5])) / period
-        half = period // 2
-    else:
-        weights = np.ones(period) / period
-        half = (period - 1) // 2
+    if x.size < 13:
+        raise DataError(f"series too short for centered MA: {x.size} < 13")
     out = np.full(x.size, np.nan)
-    out[half:x.size - half] = np.convolve(x, weights, mode="valid")
+    out[6:x.size - 6] = np.convolve(x, np.concatenate(([0.5], np.ones(11), [0.5])) / 12, mode="valid")
     return out
-
-
-def _season_positions(start: MonthStamp | None, n: int, period: int) -> np.ndarray:
-    """0-based seasonal position per observation; the calendar month from `start` when period is 12."""
-    if period != 12:
-        return np.arange(n) % period
-    if start is None:
-        raise DataError("a start month is required to group by calendar month")
-    return (start.month - 1 + np.arange(n)) % 12
 
 
 def seasonal_indices(
     values: Sequence[float],
     start: MonthStamp | None,
     model: str = MULTIPLICATIVE,
-    period: int = 12,
     aggregator: str = MEDIAN,
 ) -> SeasonalIndices:
     """Estimate normalized seasonal indices from ratios (or differences) to the centered MA.
 
     `start` is the stamp of the first value. Requires at least two full
-    cycles. Multiplicative estimation demands strictly positive values.
+    years, so the MA covers every calendar month. Multiplicative
+    estimation demands strictly positive values.
     """
     _check_model(model)
     _check_aggregator(aggregator)
     x = np.asarray(values, dtype=float)
     n = x.size
-    if n < 2 * period:
-        raise DataError(f"need at least {2 * period} observations for period {period}, got {n}")
-    positions = _season_positions(start, n, period)
+    if n < 24:
+        raise DataError(f"need at least 24 observations, got {n}")
+    if start is None:
+        raise DataError("a start month is required to group by calendar month")
     if model == MULTIPLICATIVE and (x <= 0.0).any():
         bad = int(np.argmax(x <= 0.0))
-        where = str(start.shift(bad)) if start is not None else f"position {bad + 1}"
-        raise DataError(f"multiplicative model requires positive values; got {x[bad]} at {where}")
+        raise DataError(f"multiplicative model requires positive values; got {x[bad]} at {start.shift(bad)}")
 
-    ma = centered_ma(x, period)
+    ma = centered_ma(x)
     defined = ~np.isnan(ma)
     with np.errstate(invalid="ignore"):
         raw = x / ma if model == MULTIPLICATIVE else x - ma
 
-    aggregates = np.empty(period)
-    for pos in range(period):
-        bucket = raw[defined & (positions == pos)]
-        if bucket.size == 0:
-            raise DataError(f"no detrended observations for seasonal position {pos + 1}")
-        aggregates[pos] = np.median(bucket) if aggregator == MEDIAN else bucket.mean()
-    return SeasonalIndices.from_values(model, aggregates)
+    months = start.months_of_year(n)
+    aggregate = np.median if aggregator == MEDIAN else np.mean
+    return SeasonalIndices.from_values(model, [aggregate(raw[defined & (months == m)]) for m in range(12)])
 
 
 def fit_trend(values: Sequence[float]) -> TrendLine:
@@ -215,16 +189,20 @@ def _error_metrics(actual: np.ndarray, fitted: np.ndarray) -> AccuracyMetrics:
     err = actual - fitted
     with np.errstate(all="ignore"):
         mape = float(100.0 * np.mean(np.abs(err) / np.abs(actual)))
+        msd = float(np.mean(err * err))
     if not math.isfinite(mape):  # a zero or subnormal actual value
         mape = math.nan
-    return AccuracyMetrics(mape, float(np.mean(np.abs(err))), float(np.mean(err * err)))
+    if not math.isfinite(msd):  # squared errors overflow
+        msd = math.nan
+    return AccuracyMetrics(mape, float(np.mean(np.abs(err))), msd)
 
 
 def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> AccuracyMetrics:
     """MAPE/MAD/MSD between actual and fitted values.
 
     MAPE = 100 * mean(|actual - fitted| / |actual|), so it is undefined
-    (NumericError) when any actual value is zero or the mean overflows.
+    (NumericError) when any actual value is zero or the mean overflows;
+    MSD is undefined (NumericError) when the squared errors overflow.
     """
     a = np.asarray(actual, dtype=float)
     f = np.asarray(fitted, dtype=float)
@@ -235,6 +213,8 @@ def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> Accura
     metrics = _error_metrics(a, f)
     if math.isnan(metrics.mape):
         raise NumericError("zero actual value or overflow: MAPE undefined")
+    if math.isnan(metrics.msd):
+        raise NumericError("squared errors overflow: MSD undefined")
     return metrics
 
 
@@ -242,7 +222,6 @@ def decompose(
     data: PriceSeries | ReturnSeries | Sequence[float],
     start: MonthStamp | None = None,
     model: str = MULTIPLICATIVE,
-    period: int = 12,
     aggregator: str = MEDIAN,
 ) -> DecompositionResult:
     """Run the full classical decomposition pipeline on one series.
@@ -250,13 +229,13 @@ def decompose(
     Parameters
     ----------
     data : PriceSeries, ReturnSeries, or sequence of floats
-        A plain sequence needs `start`, the stamp of its first value (for
-        period 12). Price data is normally decomposed multiplicatively;
-        series that can be negative (returns) need the additive model.
+        A plain sequence needs `start`, the stamp of its first value. Price
+        data is normally decomposed multiplicatively; series that can be
+        negative (returns) need the additive model.
     """
     values, start = _coerce(data, start)
-    indices = seasonal_indices(values, start, model=model, period=period, aggregator=aggregator)
-    per_point = np.asarray(indices.values)[_season_positions(start, values.size, period)]
+    indices = seasonal_indices(values, start, model=model, aggregator=aggregator)
+    per_point = np.asarray(indices.values)[start.months_of_year(values.size)]
 
     deseasonalized = values / per_point if model == MULTIPLICATIVE else values - per_point
     trend = fit_trend(deseasonalized)
@@ -274,18 +253,14 @@ def decompose(
     )
 
 
-def seasonal_deviation_percent(indices: SeasonalIndices, fractional_units: bool = False) -> tuple[float, ...]:
+def seasonal_deviation_percent(indices: SeasonalIndices) -> tuple[float, ...]:
     """Per-month percent deviation from the trend implied by seasonal indices.
 
     Multiplicative indices map to (value - 1) * 100. Additive offsets are
-    scaled by 100 when the decomposed values were decimal fractions
-    (fractional_units=True, e.g. monthly returns) and returned in input
-    units otherwise.
+    returned in input units.
     """
     if indices.model == MULTIPLICATIVE:
         return tuple((v - 1.0) * 100.0 for v in indices.values)
-    if fractional_units:
-        return tuple(v * 100.0 for v in indices.values)
     return tuple(indices.values)
 
 

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .decompose import (
     MEDIAN,
     MULTIPLICATIVE,
@@ -61,8 +63,6 @@ class ReportConfig:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.fmt not in (FORMAT_MARKDOWN, FORMAT_JSON):
             raise DataError(f"format must be {FORMAT_MARKDOWN!r} or {FORMAT_JSON!r}, got {self.fmt!r}")
-        if self.quorum is not None and self.quorum < 1:
-            raise DataError(f"quorum must be at least 1, got {self.quorum}")
 
 
 def classify_month_signs(
@@ -82,28 +82,16 @@ def classify_month_signs(
     models = {ind.model for ind in items}
     if len(models) != 1:
         raise DataError(f"mixed decomposition models: {sorted(models)}")
-    periods = {ind.period for ind in items}
-    if len(periods) != 1:
-        raise DataError(f"mixed index periods: {sorted(periods)}")
-    period = items[0].period
     n = len(items)
     if quorum is None:
         quorum = n
     if not 1 <= quorum <= n:
         raise DataError(f"quorum must be in 1..{n}, got {quorum}")
+    values = np.array([ind.values for ind in items])  # currencies x months
     neutral = 1.0 if items[0].model == MULTIPLICATIVE else 0.0
-
-    labels = []
-    for month in range(1, period + 1):
-        above = sum(1 for ind in items if ind.for_month(month) > neutral)
-        below = sum(1 for ind in items if ind.for_month(month) < neutral)
-        if above >= quorum:
-            labels.append(SIGN_POSITIVE)
-        elif below >= quorum:
-            labels.append(SIGN_NEGATIVE)
-        else:
-            labels.append(SIGN_NEUTRAL)
-    return tuple(labels)
+    above = (values > neutral).sum(axis=0) >= quorum
+    below = (values < neutral).sum(axis=0) >= quorum
+    return tuple(np.where(above, SIGN_POSITIVE, np.where(below, SIGN_NEGATIVE, SIGN_NEUTRAL)).tolist())
 
 
 @dataclass(frozen=True)
@@ -220,12 +208,11 @@ def markdown_correlation_section(price_corr: CorrelationMatrix, return_corr: Cor
 def markdown_decomposition_section(analysis: PanelAnalysis) -> str:
     decompositions, signs = analysis.decompositions, analysis.signs
     codes = [code for code, _ in decompositions]
-    period = decompositions[0][1].indices.period
     lines = [f"## Seasonal decomposition ({analysis.model}, {analysis.aggregator} aggregation)", ""]
     lines.append("| Month | " + " | ".join(codes) + " | Sign |")
     lines.append("|" + " --- |" * (len(codes) + 2))
-    for month in range(1, period + 1):
-        cells = [f"{result.indices.for_month(month):.4f}" for _, result in decompositions]
+    for month in range(1, 13):
+        cells = [f"{result.indices.values[month - 1]:.4f}" for _, result in decompositions]
         lines.append(f"| {month} | " + " | ".join(cells) + f" | {signs[month - 1]} |")
     rows = [
         ("MAPE", lambda r: _fmt_metric(r.accuracy.mape)),
@@ -303,7 +290,7 @@ def decomposition_payload(result: DecompositionResult) -> dict:
         "slope": result.trend.slope,
         "mape": _nan_safe(result.accuracy.mape),
         "mad": result.accuracy.mad,
-        "msd": result.accuracy.msd,
+        "msd": _nan_safe(result.accuracy.msd),
     }
 
 
@@ -351,13 +338,10 @@ def emit_chart_data(
         raise DataError("chart data needs at least one decomposition result")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    codes = list(results)
-    period = next(iter(results.values())).indices.period
-    deviations = {code: seasonal_deviation_percent(results[code].indices) for code in codes}
-    lines = ["month," + ",".join(codes)]
-    for month in range(1, period + 1):
-        row = ",".join(f"{deviations[code][month - 1]:.4f}" for code in codes)
-        lines.append(f"{month},{row}")
+    lines = ["month," + ",".join(results)]
+    deviations = zip(*(seasonal_deviation_percent(result.indices) for result in results.values()))
+    for month, row in enumerate(deviations, start=1):
+        lines.append(f"{month}," + ",".join(f"{value:.4f}" for value in row))
     path = directory / f"{group}_seasonal_deviation.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

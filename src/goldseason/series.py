@@ -61,6 +61,10 @@ class MonthStamp:
     def shift(self, months: int) -> "MonthStamp":
         return MonthStamp.from_index(self.index() + months)
 
+    def months_of_year(self, n: int) -> np.ndarray:
+        """0-based calendar month (0 = January) of each of n consecutive months starting here."""
+        return (self.month - 1 + np.arange(n)) % 12
+
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"
 

@@ -17,7 +17,6 @@ Significance testing conventions used throughout:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -87,22 +86,66 @@ def _two_sided_p(t_stat, df):
     return p
 
 
+def _mean_ttests(values: np.ndarray, members: np.ndarray):
+    """Means, counts, t statistics and two-sided p-values of t-tests against zero, one per bucket.
+
+    `members[b, i]` says whether `values[i]` is in bucket b. p is NaN where
+    a bucket has fewer than 2 values or zero variance.
+    """
+    counts = members.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # undefined buckets are masked below
+        means = np.where(members, values, 0.0).sum(axis=1) / counts
+        deviations = np.where(members, values - means[:, None], 0.0)
+        sds = np.sqrt((deviations * deviations).sum(axis=1) / (counts - 1))
+        t_stats = means / (sds / np.sqrt(counts))
+    defined = (counts >= 2) & (sds != 0.0)
+    p_values = np.full(counts.size, np.nan)
+    p_values[defined] = _two_sided_p(t_stats[defined], counts[defined] - 1)
+    return means, counts, t_stats, p_values
+
+
 def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
     """Two-sided one-sample Student t-test of the mean against mu0.
 
     Returns (t_stat, df, p_value). Raises NumericError for samples with
     fewer than two observations or with zero variance ("constant sample").
     """
-    x = np.asarray(sample, dtype=float)
-    n = x.size
-    if n < 2:
-        raise NumericError(f"t-test needs at least 2 observations, got {n}")
-    s = float(x.std(ddof=1))
-    if s == 0.0:
+    x = np.asarray(sample, dtype=float) - mu0
+    if x.size < 2:
+        raise NumericError(f"t-test needs at least 2 observations, got {x.size}")
+    _, _, t_stats, p_values = _mean_ttests(x, np.ones((1, x.size), dtype=bool))
+    if np.isnan(p_values[0]) and np.isfinite(x).all():
         raise NumericError("constant sample: zero variance, t-test undefined")
-    t_stat = float((x.mean() - mu0) / (s / math.sqrt(n)))
-    df = n - 1
-    return TTestResult(t_stat, df, float(_two_sided_p(t_stat, df)))
+    return TTestResult(float(t_stats[0]), x.size - 1, float(p_values[0]))
+
+
+def _pearson_r(data: np.ndarray) -> np.ndarray:
+    """Pearson correlations of the columns of an (n, k) matrix, upper triangle in `triu_indices` order.
+
+    Centered columns are scaled by powers of two, which changes no r but
+    keeps the sums of squares finite for values up to the largest double.
+    """
+    n, k = data.shape
+    if n < 3:
+        raise DataError(f"correlation needs at least 3 pairs, got {n}")
+    deviations = data - data.mean(axis=0)
+    _, exponents = np.frexp(np.abs(deviations).max(axis=0))
+    deviations = np.ldexp(deviations, -exponents)
+    products = deviations.T @ deviations
+    sums_of_squares = products.diagonal()
+    if (sums_of_squares == 0.0).any():
+        raise NumericError("constant input: correlation undefined")
+    upper = np.triu_indices(k, 1)
+    r = products[upper] / np.sqrt(sums_of_squares[upper[0]] * sums_of_squares[upper[1]])
+    return np.clip(r, -1.0, 1.0)
+
+
+def _correlation_t_p(r, n: int):
+    """t statistics and two-sided p-values of correlations r over n pairs; |r| = 1 gives t = +-inf and p = 0."""
+    df = n - 2
+    with np.errstate(divide="ignore"):  # |r| = 1
+        t_stats = r * np.sqrt(df / (1.0 - r * r))
+    return t_stats, _two_sided_p(t_stats, df)
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
@@ -111,16 +154,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     ay = np.asarray(y, dtype=float)
     if ax.size != ay.size:
         raise DataError(f"length mismatch: {ax.size} vs {ay.size}")
-    if ax.size < 3:
-        raise DataError(f"correlation needs at least 3 pairs, got {ax.size}")
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
-        raise NumericError("constant input: correlation undefined")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
-    return min(1.0, max(-1.0, r))
+    return float(_pearson_r(np.column_stack((ax, ay)))[0])
 
 
 def correlation_significance(r: float, n: int, alpha: float = 0.05) -> CorrelationTest:
@@ -129,14 +163,8 @@ def correlation_significance(r: float, n: int, alpha: float = 0.05) -> Correlati
         raise DataError(f"correlation {r} outside [-1, 1]")
     if n < 3:
         raise DataError(f"significance test needs n >= 3, got {n}")
-    r = min(1.0, max(-1.0, r))
-    if abs(r) == 1.0:
-        t_stat = math.copysign(math.inf, r)
-        return CorrelationTest(t_stat, 0.0, 0.0 < alpha)
-    df = n - 2
-    t_stat = r * math.sqrt(df / (1.0 - r * r))
-    p = float(_two_sided_p(t_stat, df))
-    return CorrelationTest(t_stat, p, p < alpha)
+    t_stat, p = _correlation_t_p(np.clip(r, -1.0, 1.0), n)
+    return CorrelationTest(float(t_stat), float(p), bool(p < alpha))
 
 
 def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyReturnSummary:
@@ -149,30 +177,21 @@ def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyR
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
     values = returns.values()
-    months = (returns.start.month - 1 + np.arange(values.size)) % 12
-    counts = np.bincount(months, minlength=12)
-    with np.errstate(divide="ignore", invalid="ignore"):  # months with fewer than 2 values fail below
-        means = np.bincount(months, weights=values, minlength=12) / counts
-        deviations = values - means[months]
-        sds = np.sqrt(np.bincount(months, weights=deviations * deviations, minlength=12) / (counts - 1))
-    failed = (counts < 2) | (sds == 0.0)
-    if failed.any():
-        month = int(np.argmax(failed))
-        if counts[month] < 2:
-            raise DataError(
-                f"calendar month {month + 1} has {counts[month]} observation(s); at least 2 required"
-            )
-        raise NumericError(f"calendar month {month + 1}: constant sample: zero variance, t-test undefined")
-    t_stats = means / (sds / np.sqrt(counts))
-    p_values = _two_sided_p(t_stats, counts - 1)
-    per_month = [
-        MeanReturnStat(mean, n, t_stat, p, p < alpha)
-        for mean, n, t_stat, p in zip(means.tolist(), counts.tolist(), t_stats.tolist(), p_values.tolist())
+    # one bucket per calendar month, then one of every value for the overall record
+    in_month = returns.start.months_of_year(values.size) == np.arange(12)[:, None]
+    means, counts, t_stats, p_values = _mean_ttests(values, np.vstack((in_month, np.ones(values.size, dtype=bool))))
+    undefined = np.isnan(p_values)
+    if undefined.any():
+        bucket = int(np.argmax(undefined))
+        where = f"calendar month {bucket + 1}" if bucket < 12 else "all months"
+        if counts[bucket] < 2:
+            raise DataError(f"{where} has {counts[bucket]} observation(s); at least 2 required")
+        raise NumericError(f"{where}: constant sample: zero variance, t-test undefined")
+    records = [
+        MeanReturnStat(mean, count, t_stat, p, p < alpha)
+        for mean, count, t_stat, p in zip(means.tolist(), counts.tolist(), t_stats.tolist(), p_values.tolist())
     ]
-
-    t_stat, _, p = one_sample_ttest(values)
-    overall = MeanReturnStat(float(values.mean()), int(values.size), t_stat, p, p < alpha)
-    return MonthlyReturnSummary(returns.currency, alpha, tuple(per_month), overall)
+    return MonthlyReturnSummary(returns.currency, alpha, tuple(records[:12]), records[12])
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,21 +247,10 @@ def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0
         raise DataError("correlation matrix needs at least 2 series")
     data = panel.prices if basis == PRICES else panel.returns()
     n, k = data.shape
-    if n < 3:
-        raise DataError(f"correlation needs at least 3 pairs, got {n}")
-    deviations = data - data.mean(axis=0)
-    products = deviations.T @ deviations
-    sums_of_squares = products.diagonal()
-    if (sums_of_squares == 0.0).any():
-        raise NumericError("constant input: correlation undefined")
-    upper = np.triu_indices(k, 1)
-    r = products[upper] / np.sqrt(sums_of_squares[upper[0]] * sums_of_squares[upper[1]])
-    r = np.clip(r, -1.0, 1.0)
-    df = n - 2
-    with np.errstate(divide="ignore"):  # |r| = 1: t = +-inf, and p = 0
-        t_stats = r * np.sqrt(df / (1.0 - r * r))
-    p = _two_sided_p(t_stats, df)
+    r = _pearson_r(data)
+    _, p = _correlation_t_p(r, n)
 
+    upper = np.triu_indices(k, 1)
     values = np.eye(k)
     p_values = np.zeros((k, k))
     for matrix, cells in ((values, r), (p_values, p)):

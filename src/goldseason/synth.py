@@ -40,15 +40,13 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         _check_model(self.model)
-        if len(self.indices) != 12:
-            raise DataError(f"need 12 seasonal indices, got {len(self.indices)}")
         if self.length < 24:
             raise DataError(f"length must be at least 24, got {self.length}")
         if self.noise_sd < 0.0:
             raise DataError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        normalized = SeasonalIndices.from_values(self.model, self.indices).values
         if self.model == MULTIPLICATIVE and min(self.indices) <= 0.0:
             raise DataError("multiplicative indices must be positive")
-        normalized = SeasonalIndices.from_values(self.model, self.indices).values
         object.__setattr__(self, "indices", normalized)
 
 
@@ -60,9 +58,8 @@ def generate_series(spec: GeneratorSpec) -> PriceSeries:
     since a PriceSeries cannot hold them.
     """
     t = np.arange(1, spec.length + 1, dtype=float)
-    months = (spec.start.month - 1 + np.arange(spec.length)) % 12
     trend = spec.intercept + spec.slope * t
-    season = np.asarray(spec.indices)[months]
+    season = np.asarray(spec.indices)[spec.start.months_of_year(spec.length)]
 
     if spec.model == MULTIPLICATIVE:
         values = trend * season

@@ -1,6 +1,7 @@
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 from goldseason import SeriesPanel, parse_panel_csv, render_panel_csv
@@ -238,6 +239,42 @@ class TestExitCodes:
             if command in ("returns", "correlate", "report"):
                 assert code == 3
                 assert "AAA at 2000-0" in captured.err
+
+    def test_non_utf8_input_is_data_error(self, panel_csv, capsys):
+        data = bytearray(panel_csv.read_bytes())
+        data[2] = 0xFF  # inside the header
+        panel_csv.write_bytes(bytes(data))
+        assert run_cli(["report", "--input", str(panel_csv)]) == 2
+        err = capsys.readouterr().err
+        assert err == "data error: input is not UTF-8: byte 0xff at offset 2\n"
+
+    @pytest.mark.parametrize("command", ["returns", "correlate", "decompose", "report"])
+    def test_huge_prices_stay_finite(self, tmp_path, capsys, command):
+        rows = [f"{2000 + i // 12}-{i % 12 + 1:02d}" for i in range(48)]
+        plain, huge = tmp_path / "plain.csv", tmp_path / "huge.csv"
+        for path, scale in ((plain, 1.0), (huge, 1e200)):
+            path.write_text("date,AAA,BBB\n" + "".join(
+                f"{stamp},{scale * (100.0 + i % 5)!r},{scale * (50.0 + (3 * i) % 7)!r}\n"
+                for i, stamp in enumerate(rows)))
+        for fmt in ("md", "json"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli([command, "--input", str(huge), "--format", fmt])
+            out = capsys.readouterr().out
+            assert code == 0
+            assert caught == []
+            assert "inf" not in out.lower() and "nan" not in out.lower()
+        assert run_cli(["correlate", "--input", str(plain), "--format", "json"]) == 0
+        plain_corr = json.loads(capsys.readouterr().out)["correlations"]
+        assert run_cli(["correlate", "--input", str(huge), "--format", "json"]) == 0
+        huge_corr = json.loads(capsys.readouterr().out)["correlations"]
+        for basis in ("prices", "returns"):
+            np.testing.assert_allclose(huge_corr[basis]["values"], plain_corr[basis]["values"], rtol=1e-12)
+
+    @pytest.mark.parametrize("quorum", ["0", "99"])
+    def test_quorum_out_of_range_is_data_error(self, panel_csv, capsys, quorum):
+        assert run_cli(["decompose", "--input", str(panel_csv), "--quorum", quorum]) == 2
+        assert capsys.readouterr().err == f"data error: quorum must be in 1..2, got {quorum}\n"
 
     def test_help_exits_zero(self, capsys):
         assert run_cli(["--help"]) == 0

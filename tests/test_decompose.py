@@ -36,32 +36,26 @@ def synthetic(model, intercept, slope, indices, n=240, start="1990-01"):
 class TestCenteredMA:
     def test_linear_series_passes_through(self):
         y = np.arange(1, 26, dtype=float)
-        ma = centered_ma(y, 12)
+        ma = centered_ma(y)
         assert np.isnan(ma[:6]).all() and np.isnan(ma[-6:]).all()
         np.testing.assert_allclose(ma[6:19], y[6:19], atol=1e-12)
 
     def test_constant_series(self):
-        ma = centered_ma([5.0] * 30, 12)
+        ma = centered_ma([5.0] * 30)
         defined = ma[~np.isnan(ma)]
         assert defined.size == 18
         assert (defined == 5.0).all()
 
     def test_matches_direct_summation(self, rng):
         y = rng.uniform(10, 100, 48)
-        ma = centered_ma(y, 12)
+        ma = centered_ma(y)
         for i in range(6, 42):
             window = 0.5 * y[i - 6] + y[i - 5:i + 6].sum() + 0.5 * y[i + 6]
             assert ma[i] == pytest.approx(window / 12, rel=1e-12)
 
-    def test_odd_period_linear(self):
-        y = np.arange(1, 20, dtype=float)
-        ma = centered_ma(y, 5)
-        np.testing.assert_allclose(ma[2:17], y[2:17], atol=1e-12)
-        assert np.isnan(ma[:2]).all() and np.isnan(ma[-2:]).all()
-
     def test_too_short(self):
         with pytest.raises(DataError, match="too short"):
-            centered_ma([1.0] * 12, 12)
+            centered_ma([1.0] * 12)
 
 
 class TestSeasonalIndices:
@@ -131,6 +125,13 @@ class TestSeasonalIndices:
         idx = SeasonalIndices.from_values(ADDITIVE, [3.0] * 12)
         assert idx.values == (0.0,) * 12
 
+    def test_twelve_values_required(self):
+        for n in (11, 13):
+            with pytest.raises(DataError, match="12 seasonal"):
+                SeasonalIndices(MULTIPLICATIVE, (1.0,) * n)
+            with pytest.raises(DataError, match="12 seasonal"):
+                SeasonalIndices.from_values(ADDITIVE, [0.0] * n)
+
     def test_unnormalized_construction_rejected(self):
         with pytest.raises(DataError, match="average 1"):
             SeasonalIndices(MULTIPLICATIVE, (1.1,) * 12)
@@ -189,6 +190,10 @@ class TestAccuracyMetrics:
     def test_empty(self):
         with pytest.raises(DataError):
             accuracy_metrics([], [])
+
+    def test_msd_overflow(self):
+        with pytest.raises(NumericError, match="MSD undefined"):
+            accuracy_metrics([1e200, 1.0], [1.0, 1.0])  # the squared error overflows
 
 
 class TestDecompose:
@@ -283,5 +288,4 @@ class TestSeasonalDeviationPercent:
 
     def test_additive_fraction_scaling(self):
         idx = SeasonalIndices.from_values(ADDITIVE, [0.01, -0.01] + [0.0] * 10)
-        assert seasonal_deviation_percent(idx, fractional_units=True)[0] == pytest.approx(1.0)
         assert seasonal_deviation_percent(idx)[0] == pytest.approx(0.01)

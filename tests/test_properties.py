@@ -1,5 +1,9 @@
 """Property-based checks of the package's algebraic invariants."""
 
+import io
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -31,6 +35,7 @@ from goldseason import (
     slice_span,
     to_returns,
 )
+from goldseason.cli import run_cli
 from goldseason.stats import PRICES, RETURNS, _two_sided_p
 
 from conftest import make_series
@@ -140,7 +145,7 @@ def test_p_value_monotone_in_t(df, t1, t2):
 def test_centered_ma_linear_invariance(a, b, n):
     t = np.arange(1, n + 1, dtype=float)
     y = a + b * t
-    ma = centered_ma(y, 12)
+    ma = centered_ma(y)
     defined = ~np.isnan(ma)
     scale = max(1.0, abs(a) + abs(b) * n)
     np.testing.assert_allclose(ma[defined], y[defined], atol=1e-12 * scale)
@@ -280,3 +285,40 @@ def test_scaling_a_column_leaves_returns_correlations_and_indices(seed, n, c, co
         assert_matrices_close(correlation_matrix(scaled, basis), correlation_matrix(panel, basis))
     np.testing.assert_allclose(decompose(scaled.series[column]).indices.values,
                                decompose(panel.series[column]).indices.values, rtol=1e-12)
+
+
+# ------------------------------------------------------------ byte-level input
+
+VALID_CSV = render_panel_csv(SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB", "CCC"),
+                                         random_prices(11, 30, 3))).encode("utf-8")
+
+edit_strategy = st.tuples(st.sampled_from(["flip", "insert", "delete"]),
+                          st.integers(min_value=0, max_value=len(VALID_CSV)), st.integers(min_value=0, max_value=255))
+
+
+@given(st.lists(edit_strategy, min_size=1, max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_mutated_csv_bytes_fail_cleanly(tmp_path_factory, edits):
+    data = bytearray(VALID_CSV)
+    for kind, position, byte in edits:
+        position %= len(data) + 1
+        if kind == "insert":
+            data.insert(position, byte)
+        elif position < len(data):
+            if kind == "flip":
+                data[position] ^= byte or 0xFF
+            else:
+                del data[position]
+    path = tmp_path_factory.getbasetemp() / "mutated.csv"
+    path.write_bytes(bytes(data))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = run_cli(["report", "--input", str(path)])
+    assert caught == []
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code in (1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        assert len(err.getvalue().splitlines()) == (2 if code == 1 else 1)
