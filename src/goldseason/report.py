@@ -25,14 +25,14 @@ from .decompose import (
     seasonal_deviation_percent,
 )
 from .errors import DataError
-from .series import MonthStamp, SeriesPanel, to_returns
+from .series import MonthStamp, SeriesPanel
 from .stats import (
     PRICES,
     RETURNS,
     CorrelationMatrix,
     MonthlyReturnSummary,
     correlation_matrix,
-    monthly_mean_returns,
+    panel_monthly_mean_returns,
 )
 
 SIGN_POSITIVE = "+"
@@ -124,7 +124,7 @@ def analyze_panel(panel: SeriesPanel, config: ReportConfig, sections: Sequence[s
     sections = tuple(name for name in REPORT if name in sections)
     summaries = ()
     if RETURNS_SECTION in sections:
-        summaries = tuple(monthly_mean_returns(to_returns(s), config.alpha) for s in panel.series)
+        summaries = panel_monthly_mean_returns(panel, config.alpha)
     price_corr = return_corr = None
     if CORRELATIONS_SECTION in sections and (len(panel) >= 2 or len(sections) == 1):
         price_corr = correlation_matrix(panel, PRICES, config.alpha)

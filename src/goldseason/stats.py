@@ -8,23 +8,26 @@ Significance testing conventions used throughout:
 * A Pearson correlation r over n pairs is tested with the transform
   t = r * sqrt((n - 2) / (1 - r^2)) with df = n - 2; |r| = 1 is assigned
   p = 0 by convention.
-* Two-sided tail probabilities come from the regularized incomplete beta
-  function, p = I_{df/(df+t^2)}(df/2, 1/2) = 1 - I_{t^2/(df+t^2)}(1/2, df/2),
-  evaluated in whichever form keeps its argument away from 1. The relative
-  error is at most 1e-9 wherever p >= 1e-300 (df in 1..5000, |t| in
-  [1e-12, 1e3], against 50-digit mpmath in the test suite).
+* Two-sided tail probabilities are the regularized incomplete beta
+  function p = I_y(df/2, 1/2) with y = df/(df+t^2), from the continued
+  fraction of Numerical Recipes (Press et al.) section 6.4, evaluated with
+  the modified Lentz method in numpy. Where y >= (a+1)/(a+b+2) the
+  fraction converges slowly, and p is taken as 1 - I_x(1/2, df/2) with
+  x = t^2/(df+t^2). The relative error is at most 1e-9 wherever
+  p >= 1e-300 (df in 1..5000, |t| in [1e-12, 1e3], against 50-digit
+  mpmath in the test suite).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy import special
 
 from .errors import DataError, NumericError
-from .series import ReturnSeries, SeriesPanel
+from .series import MonthStamp, ReturnSeries, SeriesPanel, to_returns
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -69,38 +72,153 @@ class MonthlyReturnSummary:
             raise DataError("per-month counts do not sum to the overall count")
 
 
+_CF_TOLERANCE = 1e-13  # a step that moves the continued fraction by less than this ends it
+_CF_STEPS = 1024  # steps an element may take before it counts as not converging
+_CF_CHUNK = 32  # steps whose coefficients are gathered in one go
+_CF_CHECK = 4  # steps between convergence checks
+_CF_COMPACT = 512  # working arrays at least this long drop their stopped elements
+_LOG_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(1/2)
+_TTEST_BLOCK = 1 << 18  # values in one block of the t-tests' working arrays
+
+
+def _log_gamma_ratio(a: float) -> float:
+    """log(Gamma(a + 1/2) / Gamma(a)).
+
+    Above a = 30 the difference of two lgamma values of size a log a would
+    lose digits, so the ratio comes from its asymptotic series, which is
+    exact to a few ulps there.
+    """
+    if a < 30.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
+    r = 1.0 / (a * a)
+    return 0.5 * math.log(a) - (1.0 / 8.0 - r * (1.0 / 192.0 - r * (1.0 / 640.0 - r * 17.0 / 14336.0))) / a
+
+
+def _fraction_coefficients(a: np.ndarray, b: np.ndarray, first: int):
+    """Numerators and denominator slopes of steps first.. of the continued fraction for I_z(a, b).
+
+    Numerical Recipes writes I_z(a, b) = front / (a (1 + d1/(1 + d2/(1 + ...))))
+    with d_j = c_j z. Its odd part takes the terms in pairs: step k has
+    numerator -d_{2k-1} d_{2k} = numerator * z^2 and denominator
+    1 + d_{2k} + d_{2k+1} = 1 + slope * z. Rows are steps, columns (a, b) pairs.
+    """
+    k = np.arange(first - 1, first + _CF_CHUNK, dtype=float)[:, None]
+    c_odd = -(a + k) * (a + b + k) / ((a + 2.0 * k) * (a + 2.0 * k + 1.0))  # c_{2k+1}
+    k = k[1:]
+    c_even = k * (b - k) / ((a + 2.0 * k - 1.0) * (a + 2.0 * k))
+    return -c_odd[:-1] * c_even, c_even + c_odd[1:]
+
+
+def _continued_fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """1 + d1/(1 + d2/(1 + ...)) for I_z(a[pair], b[pair]), by the modified Lentz method.
+
+    Lentz's C and E = 1/D follow one recurrence, X = denominator + numerator / X,
+    and each step multiplies the value by C/E. Every `_CF_CHECK` steps, an
+    element whose last step moved it by less than the tolerance stops, so
+    its value does not depend on the other elements.
+    """
+    z2 = z * z
+    value = 1.0 - ((a + b) / (a + 1.0))[pair] * z  # 1 + d1
+    c, e = value, np.full_like(z, np.inf)  # E = 1/D, and D = 0 before the first step
+    result = np.empty_like(z)
+    index = np.arange(z.size)
+    live = np.ones(z.size, dtype=bool)  # stopped elements step on until the arrays are compacted
+    for first in range(1, _CF_STEPS + 1, _CF_CHUNK):
+        numerator, slope = _fraction_coefficients(a, b, first)
+        numerator = numerator[:, pair] * z2
+        denominator = 1.0 + slope[:, pair] * z
+        for step in range(_CF_CHUNK):
+            c = denominator[step] + numerator[step] / c
+            e = denominator[step] + numerator[step] / e
+            delta = c / e
+            value = value * delta
+            if step % _CF_CHECK != _CF_CHECK - 1:
+                continue
+            stopped = (np.abs(delta - 1.0) < _CF_TOLERANCE) & live
+            if not np.count_nonzero(stopped):
+                continue
+            result[index[stopped]] = value[stopped]
+            live[stopped] = False
+            remaining = np.count_nonzero(live)
+            if not remaining:
+                return result
+            if live.size >= _CF_COMPACT and 2 * remaining <= live.size:
+                numerator, denominator = numerator[:, live], denominator[:, live]
+                pair, z, z2, c, e, value, index, live = (v[live] for v in (pair, z, z2, c, e, value, index, live))
+    raise NumericError(f"t-test p-value did not converge in {_CF_STEPS} steps")
+
+
 def _two_sided_p(t_stat, df):
     """Two-sided Student-t tail probabilities, elementwise over arrays of t and df.
 
-    p = I_y(df/2, 1/2) with y = df/(df+t^2). For small |t|, y rounds to a
-    double near 1 and p loses its digits, so wherever x = t^2/(df+t^2) is
-    at most 1/2 the same p is taken as the complement of I_x(1/2, df/2),
-    which `betaincc` computes directly.
+    p = I_y(df/2, 1/2), or 1 - I_x(1/2, df/2) where y >= (a+1)/(a+b+2),
+    as the module docstring describes. y = df/(df+t^2) and x = t^2/(df+t^2)
+    are each formed from t^2 and df, never as 1 minus the other, and the
+    prefactor y^a x^b / B(a, b) is taken in log space with one log-gamma
+    ratio per distinct df. NaN t gives NaN, |t| = inf gives 0, t = 0 gives 1.
     """
-    t2, df = np.broadcast_arrays(np.square(t_stat, dtype=float), np.asarray(df, dtype=float))
-    p = np.asarray(special.betainc(df / 2.0, 0.5, df / (df + t2)))
-    with np.errstate(invalid="ignore"):  # |t| = inf: x is NaN and p stays 0
+    with np.errstate(over="ignore", invalid="ignore"):  # t^2 overflows or is inf: y is 0
+        t2, df = np.broadcast_arrays(np.square(t_stat, dtype=float), np.asarray(df, dtype=float))
+        y = df / (df + t2)
         x = t2 / (df + t2)
-    small = x <= 0.5
-    p[small] = special.betaincc(0.5, df[small] / 2.0, x[small])
+    p = np.where(np.isnan(y), np.nan, np.where(y > 0.0, 1.0, 0.0))
+    regular = (x > 0.0) & (y > 0.0)
+    if not regular.any():
+        return p
+    y, x, df = y[regular], x[regular], df[regular]
+    a = df / 2.0
+    complement = y >= (a + 1.0) / (a + 2.5)
+    # one fraction (a, b) per distinct df and branch; complements get negative keys
+    keys, pair = np.unique(np.where(complement, -df, df), return_inverse=True)
+    halves = np.abs(keys) / 2.0
+    log_norm = np.array([_log_gamma_ratio(h) for h in halves.tolist()]) - _LOG_SQRT_PI
+    log_y = np.log(y)
+    near_one = x < 0.5
+    log_y[near_one] = np.log1p(-x[near_one])
+    front = np.exp(log_norm[pair] + a * log_y + 0.5 * np.log(x)) / np.where(complement, 0.5, a)
+    tail = np.zeros_like(front)
+    needed = front > 0.0  # where the prefactor underflows, the tail is 0 whatever the fraction
+    if needed.any():
+        tail[needed] = front[needed] / _continued_fraction(
+            np.where(keys < 0, 0.5, halves), np.where(keys < 0, halves, 0.5), pair[needed],
+            np.where(complement, x, y)[needed],
+        )
+    p[regular] = np.where(complement, 1.0 - tail, tail)
     return p
 
 
 def _mean_ttests(values: np.ndarray, members: np.ndarray):
-    """Means, counts, t statistics and two-sided p-values of t-tests against zero, one per bucket.
+    """Means, counts, t statistics and two-sided p-values of t-tests against zero, per bucket and series.
 
-    `members[b, i]` says whether `values[i]` is in bucket b. p is NaN where
-    a bucket has fewer than 2 values or zero variance.
+    `values` is (k, n), one row per series, and `members[b, i]` says
+    whether value i of every series is in bucket b; results are
+    (buckets, k) arrays, counts one per bucket. p is NaN where a bucket has
+    fewer than 2 values or zero variance. Every bucket of every series is
+    summed along its own contiguous row of n values, zero outside the
+    bucket, so a series gives the same bits alone or in a panel; series
+    are taken in blocks whose (buckets, series, n) working arrays hold at
+    most `_TTEST_BLOCK` values. Each bucket's deviations are scaled by a
+    power of two, which changes no t but keeps the sums of squares finite
+    for any finite value.
     """
     counts = members.sum(axis=1)
+    shape = (members.shape[0], values.shape[0])
+    means, scales, squares = np.empty(shape), np.empty(shape), np.empty(shape)
+    inside = members[:, None, :]
+    width = max(1, _TTEST_BLOCK // members.size)
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined buckets are masked below
-        means = np.where(members, values, 0.0).sum(axis=1) / counts
-        deviations = np.where(members, values - means[:, None], 0.0)
-        sds = np.sqrt((deviations * deviations).sum(axis=1) / (counts - 1))
-        t_stats = means / (sds / np.sqrt(counts))
-    defined = (counts >= 2) & (sds != 0.0)
-    p_values = np.full(counts.size, np.nan)
-    p_values[defined] = _two_sided_p(t_stats[defined], counts[defined] - 1)
+        for lo in range(0, values.shape[0], width):
+            block = slice(lo, lo + width)
+            means[:, block] = np.where(inside, values[block], 0.0).sum(axis=2) / counts[:, None]
+            deviations = np.where(inside, values[block] - means[:, block, None], 0.0)
+            _, exponents = np.frexp(np.abs(deviations).max(axis=2))
+            scales[:, block] = np.ldexp(1.0, np.minimum(-exponents, 1023))  # finite powers of two
+            squares[:, block] = np.square(deviations * scales[:, block, None]).sum(axis=2)
+        spreads = np.sqrt(squares / (counts - 1)[:, None])  # standard deviations times the scales
+        t_stats = means * scales / (spreads / np.sqrt(counts)[:, None])
+    defined = (counts >= 2)[:, None] & (spreads != 0.0)
+    p_values = np.full(shape, np.nan)
+    p_values[defined] = _two_sided_p(t_stats[defined], np.broadcast_to((counts - 1)[:, None], shape)[defined])
     return means, counts, t_stats, p_values
 
 
@@ -113,10 +231,10 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
     x = np.asarray(sample, dtype=float) - mu0
     if x.size < 2:
         raise NumericError(f"t-test needs at least 2 observations, got {x.size}")
-    _, _, t_stats, p_values = _mean_ttests(x, np.ones((1, x.size), dtype=bool))
-    if np.isnan(p_values[0]) and np.isfinite(x).all():
+    _, _, t_stats, p_values = _mean_ttests(x[None, :], np.ones((1, x.size), dtype=bool))
+    if np.isnan(p_values[0, 0]) and np.isfinite(x).all():
         raise NumericError("constant sample: zero variance, t-test undefined")
-    return TTestResult(float(t_stats[0]), x.size - 1, float(p_values[0]))
+    return TTestResult(float(t_stats[0, 0]), x.size - 1, float(p_values[0, 0]))
 
 
 def _pearson_r(data: np.ndarray) -> np.ndarray:
@@ -167,6 +285,40 @@ def correlation_significance(r: float, n: int, alpha: float = 0.05) -> Correlati
     return CorrelationTest(float(t_stat), float(p), bool(p < alpha))
 
 
+def _monthly_summaries(
+    returns: np.ndarray, start: MonthStamp, currencies: Sequence[str], alpha: float
+) -> tuple[MonthlyReturnSummary, ...]:
+    """`monthly_mean_returns` of every column of an (n, k) returns matrix whose first row is at `start`.
+
+    The twelve months and the overall record of all columns are tested in
+    one pass. A fault is reported for the first column that has one.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    n = returns.shape[0]
+    # one bucket per calendar month, then one of every value for the overall record
+    in_month = start.months_of_year(n) == np.arange(12)[:, None]
+    members = np.vstack((in_month, np.ones(n, dtype=bool)))
+    means, counts, t_stats, p_values = _mean_ttests(np.ascontiguousarray(returns.T), members)
+    undefined = np.isnan(p_values)
+    if undefined.any():
+        bucket = int(np.argmax(undefined[:, np.argmax(undefined.any(axis=0))]))
+        where = f"calendar month {bucket + 1}" if bucket < 12 else "all months"
+        if counts[bucket] < 2:
+            raise DataError(f"{where} has {counts[bucket]} observation(s); at least 2 required")
+        raise NumericError(f"{where}: constant sample: zero variance, t-test undefined")
+    summaries = []
+    sizes = counts.tolist()
+    for code, column_means, column_t, column_p in zip(currencies, means.T.tolist(), t_stats.T.tolist(),
+                                                     p_values.T.tolist()):
+        records = [
+            MeanReturnStat(mean, size, t_stat, p, p < alpha)
+            for mean, size, t_stat, p in zip(column_means, sizes, column_t, column_p)
+        ]
+        summaries.append(MonthlyReturnSummary(code, alpha, tuple(records[:12]), records[12]))
+    return tuple(summaries)
+
+
 def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyReturnSummary:
     """Group a return series by calendar month and test each mean against zero.
 
@@ -174,24 +326,22 @@ def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyR
     n >= 2); violations raise DataError naming the month. The overall
     record covers all observations.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DataError(f"alpha must be in (0, 1), got {alpha}")
-    values = returns.values()
-    # one bucket per calendar month, then one of every value for the overall record
-    in_month = returns.start.months_of_year(values.size) == np.arange(12)[:, None]
-    means, counts, t_stats, p_values = _mean_ttests(values, np.vstack((in_month, np.ones(values.size, dtype=bool))))
-    undefined = np.isnan(p_values)
-    if undefined.any():
-        bucket = int(np.argmax(undefined))
-        where = f"calendar month {bucket + 1}" if bucket < 12 else "all months"
-        if counts[bucket] < 2:
-            raise DataError(f"{where} has {counts[bucket]} observation(s); at least 2 required")
-        raise NumericError(f"{where}: constant sample: zero variance, t-test undefined")
-    records = [
-        MeanReturnStat(mean, count, t_stat, p, p < alpha)
-        for mean, count, t_stat, p in zip(means.tolist(), counts.tolist(), t_stats.tolist(), p_values.tolist())
-    ]
-    return MonthlyReturnSummary(returns.currency, alpha, tuple(records[:12]), records[12])
+    return _monthly_summaries(returns.values()[:, None], returns.start, (returns.currency,), alpha)[0]
+
+
+def panel_monthly_mean_returns(panel: SeriesPanel, alpha: float = 0.05) -> tuple[MonthlyReturnSummary, ...]:
+    """`monthly_mean_returns(to_returns(s), alpha)` for every series s of the panel, in one pass.
+
+    Errors are those of a series-by-series run: the first currency with
+    a fault, in column order, is the one reported.
+    """
+    try:
+        returns = panel.returns()
+    except NumericError:  # a return overflows; an earlier column may fail its t-tests first
+        for series in panel.series:
+            monthly_mean_returns(to_returns(series), alpha)
+        raise
+    return _monthly_summaries(returns, panel.start.shift(1), panel.currencies, alpha)
 
 
 @dataclass(frozen=True, eq=False)

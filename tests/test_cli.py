@@ -240,6 +240,27 @@ class TestExitCodes:
                 assert code == 3
                 assert "AAA at 2000-0" in captured.err
 
+    @pytest.mark.parametrize("command", ["returns", "report"])
+    def test_tiny_price_keeps_month_tests_finite(self, tmp_path, capsys, command):
+        # a 1e-290 price makes the next return about 1e292, whose square overflows
+        rows = ["date,AAA,BBB"] + [f"{2000 + i // 12}-{i % 12 + 1:02d},{100.0 + i % 5},{50.0 + i % 7}"
+                                   for i in range(36)]
+        rows[5] = "2000-05,1e-290,54.0"
+        path = tmp_path / "tiny.csv"
+        path.write_text("\n".join(rows) + "\n")
+        for fmt in ("md", "json"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = run_cli([command, "--input", str(path), "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 0
+            assert caught == []
+            assert captured.err == ""
+        returns = json.loads(captured.out)["returns"]["AAA"]
+        for record in (returns["per_month"][5], returns["overall"]):  # June holds the 1e292 return
+            assert np.isfinite(record["t_stat"]) and record["t_stat"] != 0.0
+            assert 0.0 < record["p_value"] < 1.0
+
     def test_non_utf8_input_is_data_error(self, panel_csv, capsys):
         data = bytearray(panel_csv.read_bytes())
         data[2] = 0xFF  # inside the header

@@ -35,8 +35,9 @@ from goldseason import (
     slice_span,
     to_returns,
 )
+from goldseason import stats
 from goldseason.cli import run_cli
-from goldseason.stats import PRICES, RETURNS, _two_sided_p
+from goldseason.stats import PRICES, RETURNS, _two_sided_p, monthly_mean_returns, panel_monthly_mean_returns
 
 from conftest import make_series
 from reference_decompose import reference_decompose
@@ -237,6 +238,19 @@ def test_decompose_matches_reference(seed, start, n, model, aggregator):
                       (fast.accuracy.mape, naive.accuracy.mape), (fast.accuracy.mad, naive.accuracy.mad),
                       (fast.accuracy.msd, naive.accuracy.msd)):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=25, max_value=150),
+       st.integers(min_value=1, max_value=5), st.sampled_from([1, 2000, stats._TTEST_BLOCK]))
+@settings(max_examples=40)
+def test_panel_monthly_tests_equal_series_by_series(seed, start, n, k, block):
+    panel = SeriesPanel("g", start, ("AAA", "BBB", "CCC", "DDD", "EEE")[:k], random_prices(seed, n, k))
+    saved, stats._TTEST_BLOCK = stats._TTEST_BLOCK, block  # blocks of one column, a few, or all
+    try:
+        batched = panel_monthly_mean_returns(panel, 0.1)
+    finally:
+        stats._TTEST_BLOCK = saved
+    assert batched == tuple(monthly_mean_returns(to_returns(s), 0.1) for s in panel.series)  # bit for bit
 
 
 def assert_matrices_close(got, want):

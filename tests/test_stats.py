@@ -6,8 +6,11 @@ from scipy.integrate import quad
 
 from goldseason import (
     DataError,
+    MonthStamp,
     NumericError,
+    ReportConfig,
     SeriesPanel,
+    analyze_panel,
     correlation_matrix,
     correlation_significance,
     monthly_mean_returns,
@@ -15,7 +18,8 @@ from goldseason import (
     pearson,
 )
 
-from goldseason.stats import _two_sided_p
+from goldseason import stats
+from goldseason.stats import _two_sided_p, panel_monthly_mean_returns
 
 from conftest import make_returns, make_series
 
@@ -101,6 +105,35 @@ class TestTwoSidedP:
         assert _two_sided_p(t, df).tolist() == [float(_two_sided_p(a, b)) for a, b in zip(t, df)]
         assert _two_sided_p(math.inf, 3) == 0.0
         assert _two_sided_p(0.0, 3) == 1.0
+
+
+def test_p_value_edge_values():
+    # NaN stays NaN; a tail below the smallest double is 0 without
+    # running the continued fraction, also when no element needs it
+    assert np.isnan(_two_sided_p(math.nan, 5))
+    assert _two_sided_p(np.array([1e3, 1e5]), 1198).tolist() == [0.0, 0.0]
+    assert _two_sided_p(np.array([1e-200, -1e-200]), 7).tolist() == [1.0, 1.0]
+    p = _two_sided_p(np.array([2.0, 1e12, math.nan, -math.inf]), 30)
+    assert p[0] == pytest.approx(0.0546250, abs=1e-7) and p[1] == 0.0 and np.isnan(p[2]) and p[3] == 0.0
+
+
+def test_p_value_that_does_not_converge_is_numeric_error(monkeypatch):
+    # just above the switch a million degrees of freedom take more than 32 steps
+    monkeypatch.setattr(stats, "_CF_STEPS", 32)
+    df = 1e6
+    t_switch = math.sqrt(df / ((df / 2 + 1) / (df / 2 + 2.5)) - df)
+    with pytest.raises(NumericError, match="did not converge"):
+        _two_sided_p(np.array([0.5, 1.001 * t_switch]), df)
+
+
+def test_log_gamma_ratio_matches_mpmath():
+    # log(Gamma(a + 1/2) / Gamma(a)) sets the p-value prefactor; its absolute
+    # error is the relative error of p, on either side of the switch to the series
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 40
+    for a in (0.5, 1.0, 4.5, 29.5, 30.0, 58.5, 222.0, 599.0, 2500.0, 1e5):
+        exact = mpmath.loggamma(mpmath.mpf(a) + mpmath.mpf(1) / 2) - mpmath.loggamma(mpmath.mpf(a))
+        assert abs(float(stats._log_gamma_ratio(a) - exact)) <= 2e-14
 
 
 class TestPearson:
@@ -210,6 +243,49 @@ class TestMonthlyMeanReturns:
         summary = monthly_mean_returns(make_returns(values))
         for rec in (*summary.per_month, summary.overall):
             assert rec.significant == (rec.p_value < summary.alpha)
+
+
+class TestPanelMonthlyMeanReturns:
+    def test_fault_of_first_currency_is_reported(self):
+        # AAA has a constant May, BBB a return that overflows earlier in the
+        # file: a series-by-series run meets AAA's fault first
+        n = 48
+        prices = np.column_stack([100.0 + np.arange(n) % 5, 50.0 + np.arange(n) % 7, 80.0 + np.arange(n) ** 2 % 11])
+        prices[4::12, 0] = prices[3::12, 0]
+        prices[2, 1] = 1e-310
+        panel = SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB", "CCC"), prices)
+        with pytest.raises(NumericError, match="calendar month 5: constant sample"):
+            panel_monthly_mean_returns(panel)
+        swapped = SeriesPanel("g", panel.start, ("BBB", "AAA", "CCC"), prices[:, [1, 0, 2]])
+        with pytest.raises(NumericError, match="return of BBB at 2000-04"):
+            panel_monthly_mean_returns(swapped)
+        constant_later = SeriesPanel("g", panel.start, ("CCC", "AAA"), prices[:, [2, 0]])
+        with pytest.raises(NumericError, match="calendar month 5: constant sample"):
+            panel_monthly_mean_returns(constant_later)
+
+    def test_analysis_makes_at_most_three_p_value_calls(self, rng, monkeypatch):
+        calls = []
+        kernel = stats._two_sided_p
+
+        def counted(t_stat, df):
+            calls.append(np.size(t_stat))
+            return kernel(t_stat, df)
+
+        monkeypatch.setattr(stats, "_two_sided_p", counted)
+        prices = 100.0 * np.exp(np.cumsum(rng.normal(0.004, 0.04, size=(150, 4)), axis=0))
+        analyze_panel(SeriesPanel("g", MonthStamp(1990, 7), ("AAA", "BBB", "CCC", "DDD"), prices), ReportConfig())
+        assert calls == [4 * 13, 6, 6]  # the monthly pass, then one call per correlation basis
+
+    def test_huge_returns_keep_t_finite(self):
+        # one price of 1e-290 makes a return near 1e292: its square overflows
+        # unless the deviations are scaled
+        values = np.resize([0.01, -0.02, 0.03, 0.015, -0.005], 36)
+        values[17] = 1e292
+        summary = monthly_mean_returns(make_returns(values, start="2000-01"))
+        for rec in (summary.per_month[5], summary.overall):
+            assert math.isfinite(rec.t_stat) and rec.t_stat != 0.0
+            assert 0.0 < rec.p_value < 1.0
+        assert summary.overall.t_stat == pytest.approx(1.0, rel=1e-6)
 
 
 class TestCorrelationMatrix:
