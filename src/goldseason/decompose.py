@@ -20,8 +20,12 @@ last half-cycle of raw seasonals are simply absent (no backcasting), which
 only reduces the per-month bucket sizes.
 
 MAPE is reported in percent. It is undefined when any actual value is
-zero or so small that the percentage errors overflow, and MSD when the
-squared errors overflow; `decompose` then stores NaN, `accuracy_metrics` raises.
+zero or so small that the percentage errors overflow, MSD when the
+squared errors overflow, and MAD when an error does; `decompose` then
+stores NaN, `accuracy_metrics` raises. A deseasonalized or fitted value
+that is not finite, which values near the largest double or seasonal
+indices near zero can give, makes `decompose` raise NumericError naming
+the month and the values it came from.
 """
 
 from __future__ import annotations
@@ -164,13 +168,16 @@ def seasonal_indices(
         raise DataError(f"multiplicative model requires positive values; got {x[bad]} at {start.shift(bad)}")
 
     ma = centered_ma(x)
-    defined = ~np.isnan(ma)
-    with np.errstate(invalid="ignore"):
-        raw = x / ma if model == MULTIPLICATIVE else x - ma
-
-    months = start.months_of_year(n)
-    aggregate = np.median if aggregator == MEDIAN else np.mean
-    return SeasonalIndices.from_values(model, [aggregate(raw[defined & (months == m)]) for m in range(12)])
+    slots = start.calendar_slots(n)
+    raws = np.full(slots.shape, np.nan)  # a column per calendar month, NaN where the MA is undefined
+    with np.errstate(over="ignore", invalid="ignore"):  # a middle pair's sum may overflow; an odd count skips it
+        raws[slots] = x / ma if model == MULTIPLICATIVE else x - ma
+        if aggregator == MEAN:
+            return SeasonalIndices.from_values(model, np.nanmean(raws, axis=0))
+        ordered = np.sort(raws, axis=0)  # NaN sorts last
+        counts = np.count_nonzero(~np.isnan(ordered), axis=0)
+        low, high = ordered[(counts - 1) // 2, np.arange(12)], ordered[counts // 2, np.arange(12)]
+        return SeasonalIndices.from_values(model, np.where(counts % 2 == 1, low, (low + high) / 2.0))
 
 
 def fit_trend(values: Sequence[float]) -> TrendLine:
@@ -178,23 +185,30 @@ def fit_trend(values: Sequence[float]) -> TrendLine:
     y = np.asarray(values, dtype=float)
     if y.size < 2:
         raise DataError(f"trend fit needs at least 2 observations, got {y.size}")
+    _, exponent = np.frexp(np.abs(y).max())  # a power-of-two scale keeps the sums finite and the bits
+    y = np.ldexp(y, -exponent)
     t = np.arange(1, y.size + 1, dtype=float)
     t_dev = t - t.mean()
-    slope = float((t_dev @ (y - y.mean())) / (t_dev @ t_dev))
-    intercept = float(y.mean() - slope * t.mean())
-    return TrendLine(intercept, slope)
+    slope = (t_dev @ (y - y.mean())) / (t_dev @ t_dev)
+    intercept = y.mean() - slope * t.mean()
+    with np.errstate(over="ignore"):  # TrendLine rejects a coefficient that overflows
+        return TrendLine(*(float(np.ldexp(c, exponent)) for c in (intercept, slope)))
 
 
 def _error_metrics(actual: np.ndarray, fitted: np.ndarray) -> AccuracyMetrics:
-    err = actual - fitted
     with np.errstate(all="ignore"):
-        mape = float(100.0 * np.mean(np.abs(err) / np.abs(actual)))
+        err = np.abs(actual - fitted)
+        mape = float(100.0 * np.mean(err / np.abs(actual)))
         msd = float(np.mean(err * err))
+        _, exponent = np.frexp(err.max())  # a power-of-two scale keeps the sum of errors finite
+        mad = float(np.ldexp(np.mean(np.ldexp(err, -exponent)), exponent))
     if not math.isfinite(mape):  # a zero or subnormal actual value
         mape = math.nan
     if not math.isfinite(msd):  # squared errors overflow
         msd = math.nan
-    return AccuracyMetrics(mape, float(np.mean(np.abs(err))), msd)
+    if not math.isfinite(mad):  # an error overflows
+        mad = math.nan
+    return AccuracyMetrics(mape, mad, msd)
 
 
 def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> AccuracyMetrics:
@@ -215,6 +229,8 @@ def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> Accura
         raise NumericError("zero actual value or overflow: MAPE undefined")
     if math.isnan(metrics.msd):
         raise NumericError("squared errors overflow: MSD undefined")
+    if math.isnan(metrics.mad):
+        raise NumericError("errors overflow: MAD undefined")
     return metrics
 
 
@@ -235,13 +251,18 @@ def decompose(
     """
     values, start = _coerce(data, start)
     indices = seasonal_indices(values, start, model=model, aggregator=aggregator)
-    per_point = np.asarray(indices.values)[start.months_of_year(values.size)]
+    slots = start.calendar_slots(values.size)
+    per_point = np.broadcast_to(indices.values, slots.shape)[slots]
 
-    deseasonalized = values / per_point if model == MULTIPLICATIVE else values - per_point
+    with np.errstate(all="ignore"):  # checked below
+        deseasonalized = values / per_point if model == MULTIPLICATIVE else values - per_point
+    _check_finite("deseasonalized value", deseasonalized, start, {"value": values, "seasonal index": per_point})
     trend = fit_trend(deseasonalized)
-    trend_values = trend.value_at(np.arange(1, values.size + 1))
-    fitted = trend_values * per_point if model == MULTIPLICATIVE else trend_values + per_point
-    irregular = values / fitted if model == MULTIPLICATIVE else values - fitted
+    with np.errstate(all="ignore"):  # fitted values are checked below; an irregular ratio may be infinite
+        trend_values = trend.value_at(np.arange(1, values.size + 1))
+        fitted = trend_values * per_point if model == MULTIPLICATIVE else trend_values + per_point
+        irregular = values / fitted if model == MULTIPLICATIVE else values - fitted
+    _check_finite("fitted value", fitted, start, {"trend": trend_values, "seasonal index": per_point})
 
     return DecompositionResult(
         model=model,
@@ -251,6 +272,15 @@ def decompose(
         irregular=tuple(irregular.tolist()),
         accuracy=_error_metrics(values, fitted),
     )
+
+
+def _check_finite(name: str, component: np.ndarray, start: MonthStamp, inputs: dict[str, np.ndarray]) -> None:
+    """Raise NumericError at the first month where a component is not finite, naming the inputs it came from."""
+    unusable = ~np.isfinite(component)
+    if unusable.any():
+        bad = int(np.argmax(unusable))
+        causes = ", ".join(f"{label} {float(array[bad])!r}" for label, array in inputs.items())
+        raise NumericError(f"{name} at {start.shift(bad)} is not finite: {causes}")
 
 
 def seasonal_deviation_percent(indices: SeasonalIndices) -> tuple[float, ...]:

@@ -160,7 +160,10 @@ def render_report(panel: SeriesPanel, config: ReportConfig) -> str:
 # ---------------------------------------------------------------- markdown
 
 def _fmt_pct(value: float, significant: bool) -> str:
-    return f"{value * 100.0:.2f}%" + ("*" if significant else "")
+    percent = value * 100.0
+    # a float too large for its percent to be finite is a whole number, so integers give it exactly
+    text = f"{percent:.2f}" if math.isfinite(percent) else f"{int(value) * 100}.00"
+    return text + "%" + ("*" if significant else "")
 
 def _fmt_metric(value: float) -> str:
     return "n/a" if math.isnan(value) else f"{value:.6g}"
@@ -289,7 +292,7 @@ def decomposition_payload(result: DecompositionResult) -> dict:
         "constant": result.trend.intercept,
         "slope": result.trend.slope,
         "mape": _nan_safe(result.accuracy.mape),
-        "mad": result.accuracy.mad,
+        "mad": _nan_safe(result.accuracy.mad),
         "msd": _nan_safe(result.accuracy.msd),
     }
 

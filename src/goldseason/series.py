@@ -61,9 +61,14 @@ class MonthStamp:
     def shift(self, months: int) -> "MonthStamp":
         return MonthStamp.from_index(self.index() + months)
 
-    def months_of_year(self, n: int) -> np.ndarray:
-        """0-based calendar month (0 = January) of each of n consecutive months starting here."""
-        return (self.month - 1 + np.arange(n)) % 12
+    def calendar_slots(self, n: int) -> np.ndarray:
+        """A (years, 12) mask of where n consecutive months starting here fall in whole calendar years.
+
+        Column m - 1 is calendar month m; the True slots, in row order, are the n months in time order.
+        """
+        slots = np.zeros((self.month + n + 10) // 12 * 12, dtype=bool)
+        slots[self.month - 1:self.month - 1 + n] = True
+        return slots.reshape(-1, 12)
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}"

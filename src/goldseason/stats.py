@@ -78,7 +78,6 @@ _CF_CHUNK = 32  # steps whose coefficients are gathered in one go
 _CF_CHECK = 4  # steps between convergence checks
 _CF_COMPACT = 512  # working arrays at least this long drop their stopped elements
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(1/2)
-_TTEST_BLOCK = 1 << 18  # values in one block of the t-tests' working arrays
 
 
 def _log_gamma_ratio(a: float) -> float:
@@ -187,39 +186,29 @@ def _two_sided_p(t_stat, df):
     return p
 
 
-def _mean_ttests(values: np.ndarray, members: np.ndarray):
-    """Means, counts, t statistics and two-sided p-values of t-tests against zero, per bucket and series.
+def _mean_ttests(values: np.ndarray, present: np.ndarray):
+    """Means, counts and t statistics of t-tests against zero, per series and bucket.
 
-    `values` is (k, n), one row per series, and `members[b, i]` says
-    whether value i of every series is in bucket b; results are
-    (buckets, k) arrays, counts one per bucket. p is NaN where a bucket has
-    fewer than 2 values or zero variance. Every bucket of every series is
-    summed along its own contiguous row of n values, zero outside the
-    bucket, so a series gives the same bits alone or in a panel; series
-    are taken in blocks whose (buckets, series, n) working arrays hold at
-    most `_TTEST_BLOCK` values. Each bucket's deviations are scaled by a
-    power of two, which changes no t but keeps the sums of squares finite
-    for any finite value.
+    `values` is (k, m, buckets), one (m, buckets) block per series, and
+    zero in the slots where the (m, buckets) mask `present` is False;
+    results are (k, buckets) arrays, counts one per bucket. t is NaN where
+    a bucket has fewer than 2 values or zero variance. Every bucket is
+    reduced along axis -2 on its own, so a series gives the same bits alone
+    or in a panel. Each bucket's values are scaled by a power of two before
+    they are summed, and its deviations again before their squares are,
+    which changes no mean or t but keeps the sums finite for any finite value.
     """
-    counts = members.sum(axis=1)
-    shape = (members.shape[0], values.shape[0])
-    means, scales, squares = np.empty(shape), np.empty(shape), np.empty(shape)
-    inside = members[:, None, :]
-    width = max(1, _TTEST_BLOCK // members.size)
+    counts = present.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined buckets are masked below
-        for lo in range(0, values.shape[0], width):
-            block = slice(lo, lo + width)
-            means[:, block] = np.where(inside, values[block], 0.0).sum(axis=2) / counts[:, None]
-            deviations = np.where(inside, values[block] - means[:, block, None], 0.0)
-            _, exponents = np.frexp(np.abs(deviations).max(axis=2))
-            scales[:, block] = np.ldexp(1.0, np.minimum(-exponents, 1023))  # finite powers of two
-            squares[:, block] = np.square(deviations * scales[:, block, None]).sum(axis=2)
-        spreads = np.sqrt(squares / (counts - 1)[:, None])  # standard deviations times the scales
-        t_stats = means * scales / (spreads / np.sqrt(counts)[:, None])
-    defined = (counts >= 2)[:, None] & (spreads != 0.0)
-    p_values = np.full(shape, np.nan)
-    p_values[defined] = _two_sided_p(t_stats[defined], np.broadcast_to((counts - 1)[:, None], shape)[defined])
-    return means, counts, t_stats, p_values
+        _, exponents = np.frexp(np.abs(values).max(axis=-2))
+        means = np.ldexp(np.ldexp(values, -exponents[..., None, :]).sum(axis=-2) / counts, exponents)
+        deviations = np.where(present, values - means[..., None, :], 0.0)
+        _, exponents = np.frexp(np.abs(deviations).max(axis=-2))
+        np.ldexp(deviations, -exponents[..., None, :], out=deviations)
+        squares = np.square(deviations, out=deviations).sum(axis=-2)
+        spreads = np.sqrt(squares / (counts - 1))  # standard deviations scaled like the deviations
+        t_stats = np.ldexp(means, -exponents) / (spreads / np.sqrt(counts))
+    return means, counts, np.where((counts >= 2) & (spreads != 0.0), t_stats, np.nan)
 
 
 def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
@@ -231,24 +220,26 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
     x = np.asarray(sample, dtype=float) - mu0
     if x.size < 2:
         raise NumericError(f"t-test needs at least 2 observations, got {x.size}")
-    _, _, t_stats, p_values = _mean_ttests(x[None, :], np.ones((1, x.size), dtype=bool))
-    if np.isnan(p_values[0, 0]) and np.isfinite(x).all():
+    t_stat = _mean_ttests(x[None, :, None], np.ones((x.size, 1), dtype=bool))[2][0, 0]
+    if np.isnan(t_stat) and np.isfinite(x).all():
         raise NumericError("constant sample: zero variance, t-test undefined")
-    return TTestResult(float(t_stats[0, 0]), x.size - 1, float(p_values[0, 0]))
+    return TTestResult(float(t_stat), x.size - 1, float(_two_sided_p(t_stat, x.size - 1)))
 
 
 def _pearson_r(data: np.ndarray) -> np.ndarray:
     """Pearson correlations of the columns of an (n, k) matrix, upper triangle in `triu_indices` order.
 
-    Centered columns are scaled by powers of two, which changes no r but
-    keeps the sums of squares finite for values up to the largest double.
+    Columns are scaled by powers of two before they are centered, and again
+    after, which changes no r but keeps the sums and the sums of squares
+    finite for values up to the largest double.
     """
     n, k = data.shape
     if n < 3:
         raise DataError(f"correlation needs at least 3 pairs, got {n}")
-    deviations = data - data.mean(axis=0)
+    deviations = np.ldexp(data, -np.frexp(np.abs(data).max(axis=0))[1])
+    deviations -= deviations.mean(axis=0)
     _, exponents = np.frexp(np.abs(deviations).max(axis=0))
-    deviations = np.ldexp(deviations, -exponents)
+    np.ldexp(deviations, -exponents, out=deviations)
     products = deviations.T @ deviations
     sums_of_squares = products.diagonal()
     if (sums_of_squares == 0.0).any():
@@ -290,30 +281,31 @@ def _monthly_summaries(
 ) -> tuple[MonthlyReturnSummary, ...]:
     """`monthly_mean_returns` of every column of an (n, k) returns matrix whose first row is at `start`.
 
-    The twelve months and the overall record of all columns are tested in
-    one pass. A fault is reported for the first column that has one.
+    The twelve months, the columns of a calendar grid, and the overall record
+    of all columns are tested in one pass. A fault is reported for the first column that has one.
     """
     if not 0.0 < alpha < 1.0:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
-    n = returns.shape[0]
-    # one bucket per calendar month, then one of every value for the overall record
-    in_month = start.months_of_year(n) == np.arange(12)[:, None]
-    members = np.vstack((in_month, np.ones(n, dtype=bool)))
-    means, counts, t_stats, p_values = _mean_ttests(np.ascontiguousarray(returns.T), members)
+    values = np.ascontiguousarray(returns.T)
+    slots = start.calendar_slots(values.shape[1])
+    grid = np.zeros(values.shape[:1] + slots.shape)
+    grid[:, slots] = values
+    buckets = zip(_mean_ttests(grid, slots), _mean_ttests(values[:, :, None], np.ones((values.shape[1], 1), bool)))
+    means, counts, t_stats = (np.concatenate(pair, axis=-1) for pair in buckets)
+    p_values = _two_sided_p(t_stats, counts - 1)
     undefined = np.isnan(p_values)
     if undefined.any():
-        bucket = int(np.argmax(undefined[:, np.argmax(undefined.any(axis=0))]))
+        bucket = int(np.argmax(undefined[np.argmax(undefined.any(axis=1))]))
         where = f"calendar month {bucket + 1}" if bucket < 12 else "all months"
         if counts[bucket] < 2:
             raise DataError(f"{where} has {counts[bucket]} observation(s); at least 2 required")
         raise NumericError(f"{where}: constant sample: zero variance, t-test undefined")
     summaries = []
     sizes = counts.tolist()
-    for code, column_means, column_t, column_p in zip(currencies, means.T.tolist(), t_stats.T.tolist(),
-                                                     p_values.T.tolist()):
+    for code, row_means, row_t, row_p in zip(currencies, means.tolist(), t_stats.tolist(), p_values.tolist()):
         records = [
             MeanReturnStat(mean, size, t_stat, p, p < alpha)
-            for mean, size, t_stat, p in zip(column_means, sizes, column_t, column_p)
+            for mean, size, t_stat, p in zip(row_means, sizes, row_t, row_p)
         ]
         summaries.append(MonthlyReturnSummary(code, alpha, tuple(records[:12]), records[12]))
     return tuple(summaries)

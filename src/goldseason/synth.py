@@ -59,7 +59,8 @@ def generate_series(spec: GeneratorSpec) -> PriceSeries:
     """
     t = np.arange(1, spec.length + 1, dtype=float)
     trend = spec.intercept + spec.slope * t
-    season = np.asarray(spec.indices)[spec.start.months_of_year(spec.length)]
+    slots = spec.start.calendar_slots(spec.length)
+    season = np.broadcast_to(spec.indices, slots.shape)[slots]
 
     if spec.model == MULTIPLICATIVE:
         values = trend * season

@@ -4,9 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from goldseason import SeriesPanel, parse_panel_csv, render_panel_csv
+from goldseason import MonthStamp, SeriesPanel, parse_panel_csv, render_panel_csv
 from goldseason.cli import run_cli
 
+from conftest import dipping_prices
 from test_report import DATA_DIR, two_currency_panel
 
 
@@ -260,6 +261,48 @@ class TestExitCodes:
         for record in (returns["per_month"][5], returns["overall"]):  # June holds the 1e292 return
             assert np.isfinite(record["t_stat"]) and record["t_stat"] != 0.0
             assert 0.0 < record["p_value"] < 1.0
+
+    def _run_quietly(self, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli(argv)
+        assert caught == []
+        return code
+
+    def _dipping_csv(self, tmp_path, low):
+        path = tmp_path / "dips.csv"
+        panel = SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB"), dipping_prices(low))
+        path.write_text(render_panel_csv(panel))
+        return path
+
+    def test_month_sums_near_the_largest_double_stay_finite(self, tmp_path, capsys):
+        # AAA's 1e-300 Januaries make three February returns near 1e308, whose unscaled sum overflows
+        path = self._dipping_csv(tmp_path, 1e-300)
+        assert self._run_quietly(["returns", "--input", str(path), "--format", "json"]) == 0
+        returns = json.loads(capsys.readouterr().out)["returns"]["AAA"]
+        for record in returns["per_month"] + [returns["overall"]]:
+            assert all(np.isfinite(record[key]) for key in ("mean", "t_stat", "p_value"))
+        february = returns["per_month"][1]
+        assert february["n"] == 5 and 1e307 < february["mean"] < 1e308
+
+    def test_percent_of_a_huge_month_mean_prints_exactly(self, tmp_path, capsys):
+        # a February mean near 6e306 is finite, but 100 times it is not
+        path = self._dipping_csv(tmp_path, 1e-299)
+        assert self._run_quietly(["returns", "--input", str(path), "--format", "json"]) == 0
+        mean = json.loads(capsys.readouterr().out)["returns"]["AAA"]["per_month"][1]["mean"]
+        assert self._run_quietly(["returns", "--input", str(path)]) == 0
+        table = capsys.readouterr().out
+        assert f"| 2 | {int(mean) * 100}.00% |" in table
+        assert "inf" not in table
+
+    def test_unusable_seasonal_index_is_numeric_error(self, tmp_path, capsys):
+        # levels over 1e-300..1e300 give indices near 1e-270, which deseasonalize prices past the largest double
+        prices = 10.0 ** np.random.default_rng(3).uniform(-300.0, 300.0, (36, 2))
+        path = tmp_path / "extreme.csv"
+        path.write_text(render_panel_csv(SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB"), prices)))
+        assert self._run_quietly(["decompose", "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numeric error: deseasonalized value at ") and "seasonal index" in err
 
     def test_non_utf8_input_is_data_error(self, panel_csv, capsys):
         data = bytearray(panel_csv.read_bytes())

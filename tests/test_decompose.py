@@ -266,6 +266,23 @@ class TestDecompose:
         values[10], values[20] = 1e-310, 15.0  # a subnormal actual off the fit overflows MAPE
         assert math.isnan(decompose(values, start, model=ADDITIVE).accuracy.mape)
 
+    def test_power_of_two_scale_near_the_largest_double_is_exact(self):
+        # the trend fit's sums and the sum of absolute errors pass 1.8e308 unless they are scaled
+        t = np.arange(48)
+        unit = (1 + 0.5 * np.sin(t * np.pi / 6)) * np.exp(np.random.default_rng(1).normal(0.0, 0.1, 48))
+        base = decompose(unit, MonthStamp(2000, 1))
+        top = decompose(np.ldexp(unit, 1023), MonthStamp(2000, 1))
+        assert top.indices == base.indices
+        unscaled = (base.trend.intercept, base.trend.slope, base.accuracy.mad)
+        assert (top.trend.intercept, top.trend.slope, top.accuracy.mad) == tuple(math.ldexp(v, 1023) for v in unscaled)
+        assert top.accuracy.mape == base.accuracy.mape
+        assert math.isnan(top.accuracy.msd)
+
+    def test_fitted_value_past_the_largest_double_is_numeric_error(self):
+        values = np.ldexp(np.minimum(np.linspace(1.0, 2.3, 48), 1.9), 1023)  # a trend that ends above 2^1024
+        with pytest.raises(NumericError, match="fitted value at 2003-08 is not finite: trend inf"):
+            decompose(values, MonthStamp(2000, 1))
+
 
 class TestSeasonalDeviationPercent:
     def test_neutral_index_is_zero(self):

@@ -1,12 +1,13 @@
 """Property-based checks of the package's algebraic invariants."""
 
 import io
+import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from goldseason import (
@@ -35,11 +36,10 @@ from goldseason import (
     slice_span,
     to_returns,
 )
-from goldseason import stats
 from goldseason.cli import run_cli
 from goldseason.stats import PRICES, RETURNS, _two_sided_p, monthly_mean_returns, panel_monthly_mean_returns
 
-from conftest import make_series
+from conftest import dipping_prices, make_series
 from reference_decompose import reference_decompose
 
 returns_strategy = st.lists(
@@ -240,16 +240,25 @@ def test_decompose_matches_reference(seed, start, n, model, aggregator):
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=24, max_value=150),
+       st.sampled_from([MULTIPLICATIVE, ADDITIVE]))
+@settings(max_examples=60)
+def test_median_indices_equal_per_month_medians(seed, start, n, model):
+    values = random_prices(seed, n, 1)[:, 0]
+    ma = centered_ma(values)
+    raw = values / ma if model == MULTIPLICATIVE else values - ma
+    months = (start.month - 1 + np.arange(n)) % 12
+    medians = [np.median(raw[~np.isnan(ma) & (months == m)]) for m in range(12)]
+    expected = SeasonalIndices.from_values(model, medians)
+    assert seasonal_indices(values, start, model, MEDIAN) == expected  # bit for bit
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=25, max_value=150),
-       st.integers(min_value=1, max_value=5), st.sampled_from([1, 2000, stats._TTEST_BLOCK]))
+       st.integers(min_value=1, max_value=5))
 @settings(max_examples=40)
-def test_panel_monthly_tests_equal_series_by_series(seed, start, n, k, block):
+def test_panel_monthly_tests_equal_series_by_series(seed, start, n, k):
     panel = SeriesPanel("g", start, ("AAA", "BBB", "CCC", "DDD", "EEE")[:k], random_prices(seed, n, k))
-    saved, stats._TTEST_BLOCK = stats._TTEST_BLOCK, block  # blocks of one column, a few, or all
-    try:
-        batched = panel_monthly_mean_returns(panel, 0.1)
-    finally:
-        stats._TTEST_BLOCK = saved
+    batched = panel_monthly_mean_returns(panel, 0.1)
     assert batched == tuple(monthly_mean_returns(to_returns(s), 0.1) for s in panel.series)  # bit for bit
 
 
@@ -336,3 +345,40 @@ def test_mutated_csv_bytes_fail_cleanly(tmp_path_factory, edits):
         assert code in (1, 2, 3)
         assert "Traceback" not in err.getvalue()
         assert len(err.getvalue().splitlines()) == (2 if code == 1 else 1)
+
+
+# ------------------------------------------------------- extreme magnitudes
+
+@st.composite
+def extreme_prices(draw) -> np.ndarray:
+    """An (n, k) price matrix, k in 2..6 and n in 25..120, whose cells lie in 1e-300..1e300.
+
+    The log10 price of each column is a random walk from a level in
+    -300..300 whose monthly steps have a standard deviation of up to 300
+    decades, clipped to the domain.
+    """
+    k, n = draw(st.integers(min_value=2, max_value=6)), draw(st.integers(min_value=25, max_value=120))
+    start = draw(st.floats(min_value=-300.0, max_value=300.0))
+    volatility = draw(st.floats(min_value=0.0, max_value=300.0))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    steps = rng.normal(0.0, volatility, (n, k)) + rng.uniform(-0.1, 0.1, (n, k))
+    return 10.0 ** np.clip(start + np.cumsum(steps, axis=0), -300.0, 300.0)
+
+
+@given(extreme_prices(), st.integers(min_value=1900 * 12, max_value=2100 * 12))
+@example(dipping_prices(1e-300), 2000 * 12)  # two returns near 1e308 in one calendar month
+@example(dipping_prices(1e-299), 2000 * 12)  # a finite month mean whose percent overflows
+@example(10.0 ** np.random.default_rng(3).uniform(-300.0, 300.0, (36, 2)), 2000 * 12)  # indices near 1e-270
+@settings(max_examples=100, deadline=None)
+def test_extreme_magnitudes_exit_cleanly(tmp_path_factory, prices, start_index):
+    codes = ("AAA", "BBB", "CCC", "DDD", "EEE", "FFF")[:prices.shape[1]]
+    path = tmp_path_factory.getbasetemp() / "extreme.csv"
+    path.write_text(render_panel_csv(SeriesPanel("g", MonthStamp.from_index(start_index), codes, prices)))
+    for fmt in ("md", "json"):
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = run_cli(["report", "--input", str(path), "--format", fmt])
+        assert caught == []
+        assert code in (0, 3), err.getvalue()
+        assert re.search(r"(?i)\b(inf|infinity|nan)\b", out.getvalue() + err.getvalue()) is None

@@ -35,6 +35,14 @@ class TestMonthStamp:
         with pytest.raises(DataError):
             MonthStamp.parse(bad)
 
+    def test_calendar_slots_lay_months_out_in_whole_years(self):
+        slots = MonthStamp(2000, 11).calendar_slots(15)  # 2000-11 .. 2002-01
+        assert slots.shape == (3, 12)
+        rows, columns = np.nonzero(slots)
+        assert rows.tolist() == [0, 0] + [1] * 12 + [2]
+        assert columns.tolist() == [10, 11] + list(range(12)) + [0]
+        assert MonthStamp(2000, 1).calendar_slots(24).all()
+
     def test_month_out_of_range(self):
         with pytest.raises(DataError):
             MonthStamp(2000, 0)
