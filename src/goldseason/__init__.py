@@ -16,6 +16,7 @@ from .decompose import (
     MULTIPLICATIVE,
     AccuracyMetrics,
     DecompositionResult,
+    PanelDecomposition,
     SeasonalIndices,
     TrendLine,
     accuracy_metrics,
@@ -77,6 +78,7 @@ __all__ = [
     "MonthStamp",
     "MonthlyReturnSummary",
     "NumericError",
+    "PanelDecomposition",
     "PriceSeries",
     "ReportConfig",
     "ReturnSeries",

@@ -14,6 +14,10 @@ The seasonal axis is the calendar month. The pipeline estimates, in order:
 5. fitted values trend(t) * index (or +), the irregular component as the
    remaining ratio (or difference), and MAPE/MAD/MSD accuracy metrics.
 
+`decompose` of a panel runs every column in one pass whose every
+statistic is a reduction along one axis; one series is the one-column case
+of the same code, so a column gives the same bits either way.
+
 No cyclical component is estimated; whatever the trend and seasonal
 indices do not explain lands in the irregular component. The first and
 last half-cycle of raw seasonals are simply absent (no backcasting), which
@@ -37,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, PriceSeries, ReturnSeries
+from .series import MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -83,15 +87,17 @@ class SeasonalIndices:
         """Build indices from raw per-month aggregates, normalizing them."""
         _check_model(model)
         _check_twelve(values)
-        v = np.asarray(values, dtype=float)
-        if model == MULTIPLICATIVE:
-            mean = v.mean()
-            if mean <= 0.0:
-                raise DataError("multiplicative indices must have a positive mean")
-            v = v / mean
-        else:
-            v = v - v.mean()
-        return cls(model, tuple(float(x) for x in v))
+        with np.errstate(divide="ignore", invalid="ignore"):  # a mean that is not positive is rejected below
+            v, mean = _normalize(model, np.asarray(values, dtype=float))
+        if model == MULTIPLICATIVE and mean <= 0.0:
+            raise DataError("multiplicative indices must have a positive mean")
+        return cls(model, tuple(v.tolist()))
+
+
+def _normalize(model: str, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-month aggregates along the last axis normalized as `SeasonalIndices` requires, and their means."""
+    means = raw.mean(axis=-1, keepdims=True)
+    return (raw / means if model == MULTIPLICATIVE else raw - means), means[..., 0]
 
 
 @dataclass(frozen=True)
@@ -119,14 +125,60 @@ class AccuracyMetrics:
     msd: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecompositionResult:
+    """One series' decomposition; `fitted` and `irregular` are read-only 1-D arrays, one value per month."""
+
     model: str
     indices: SeasonalIndices
     trend: TrendLine
-    fitted: tuple[float, ...]
-    irregular: tuple[float, ...]
+    fitted: np.ndarray
+    irregular: np.ndarray
     accuracy: AccuracyMetrics
+
+    def __post_init__(self) -> None:
+        for name in ("fitted", "irregular"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), 1, name))
+
+    def __eq__(self, other) -> bool:
+        return (
+            type(other) is type(self)
+            and (self.model, self.indices, self.trend, self.accuracy)
+            == (other.model, other.indices, other.trend, other.accuracy)
+            and np.array_equal(self.fitted, other.fitted)
+            and np.array_equal(self.irregular, other.irregular)
+        )
+
+    __hash__ = None  # arrays are not hashable, so neither is a result
+
+
+@dataclass(frozen=True, eq=False)
+class PanelDecomposition:
+    """Every column of a panel decomposed in one pass.
+
+    `results` holds one `DecompositionResult` per column, in column order;
+    `fitted` and `irregular` are read-only (months x columns) matrices whose
+    columns are those results' arrays.
+    """
+
+    results: tuple[DecompositionResult, ...]
+    fitted: np.ndarray
+    irregular: np.ndarray
+
+
+def _moving_average(x: np.ndarray) -> np.ndarray:
+    """Centered 2x12 moving averages along the last axis, one per window that fits (n - 12 of them).
+
+    Each window is the sum of 13 shifted slices of x / 12, the two end ones
+    half-weighted; dividing first keeps the sum finite for any finite x.
+    """
+    twelfths = x / 12.0
+    m = x.shape[-1] - 12
+    ma = twelfths[..., 1:1 + m].copy()
+    for shift in range(2, 12):
+        ma += twelfths[..., shift:shift + m]
+    ma += 0.5 * (twelfths[..., :m] + twelfths[..., 12:])
+    return ma
 
 
 def centered_ma(values: Sequence[float]) -> np.ndarray:
@@ -139,8 +191,47 @@ def centered_ma(values: Sequence[float]) -> np.ndarray:
     if x.size < 13:
         raise DataError(f"series too short for centered MA: {x.size} < 13")
     out = np.full(x.size, np.nan)
-    out[6:x.size - 6] = np.convolve(x, np.concatenate(([0.5], np.ones(11), [0.5])) / 12, mode="valid")
+    out[6:x.size - 6] = _moving_average(x)
     return out
+
+
+def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregator: str) -> np.ndarray:
+    """Per-calendar-month aggregates, (k, 12), of the ratios (or differences) to the centered MA of each row of x.
+
+    The rows of the (k, n) matrix x share the start month `start`. Each row's
+    raw seasonals are laid out on a calendar grid, NaN where the MA is
+    undefined, with a row of years per calendar month, so one sort (or one
+    NaN-skipping mean) along the last axis aggregates every month of every row.
+    """
+    _check_model(model)
+    _check_aggregator(aggregator)
+    k, n = x.shape
+    if n < 24:
+        raise DataError(f"need at least 24 observations, got {n}")
+    if start is None:
+        raise DataError("a start month is required to group by calendar month")
+    raws = np.full(x.shape, np.nan)
+    middle = x[:, 6:n - 6]
+    ma = _moving_average(x)
+    raws[:, 6:n - 6] = middle / ma if model == MULTIPLICATIVE else middle - ma
+    slots = start.calendar_slots(n)
+    grid = np.full((k,) + slots.shape, np.nan)
+    grid[:, slots] = raws
+    grid = np.ascontiguousarray(grid.transpose(0, 2, 1))  # (k, 12, years)
+    if aggregator == MEAN:
+        return np.nanmean(grid, axis=-1)
+    grid.sort(axis=-1)  # NaN sorts last
+    counts = np.count_nonzero(~np.isnan(grid), axis=-1)[..., None]
+    low = np.take_along_axis(grid, (counts - 1) // 2, axis=-1)
+    high = np.take_along_axis(grid, counts // 2, axis=-1)
+    return np.where(counts % 2 == 1, low, (low + high) / 2.0)[..., 0]  # a middle pair's sum may overflow
+
+
+def _check_positive(values: np.ndarray, start: MonthStamp) -> None:
+    nonpositive = values <= 0.0
+    if nonpositive.any():
+        bad = int(np.argmax(nonpositive))
+        raise DataError(f"multiplicative model requires positive values; got {values[bad]} at {start.shift(bad)}")
 
 
 def seasonal_indices(
@@ -155,29 +246,27 @@ def seasonal_indices(
     years, so the MA covers every calendar month. Multiplicative
     estimation demands strictly positive values.
     """
-    _check_model(model)
-    _check_aggregator(aggregator)
     x = np.asarray(values, dtype=float)
-    n = x.size
-    if n < 24:
-        raise DataError(f"need at least 24 observations, got {n}")
-    if start is None:
-        raise DataError("a start month is required to group by calendar month")
-    if model == MULTIPLICATIVE and (x <= 0.0).any():
-        bad = int(np.argmax(x <= 0.0))
-        raise DataError(f"multiplicative model requires positive values; got {x[bad]} at {start.shift(bad)}")
+    with np.errstate(all="ignore"):  # non-positive values are rejected below
+        raw = _raw_seasonals(x[None, :], start, model, aggregator)[0]
+    if model == MULTIPLICATIVE:
+        _check_positive(x, start)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return SeasonalIndices.from_values(model, raw)
 
-    ma = centered_ma(x)
-    slots = start.calendar_slots(n)
-    raws = np.full(slots.shape, np.nan)  # a column per calendar month, NaN where the MA is undefined
-    with np.errstate(over="ignore", invalid="ignore"):  # a middle pair's sum may overflow; an odd count skips it
-        raws[slots] = x / ma if model == MULTIPLICATIVE else x - ma
-        if aggregator == MEAN:
-            return SeasonalIndices.from_values(model, np.nanmean(raws, axis=0))
-        ordered = np.sort(raws, axis=0)  # NaN sorts last
-        counts = np.count_nonzero(~np.isnan(ordered), axis=0)
-        low, high = ordered[(counts - 1) // 2, np.arange(12)], ordered[counts // 2, np.arange(12)]
-        return SeasonalIndices.from_values(model, np.where(counts % 2 == 1, low, (low + high) / 2.0))
+
+def _fit_trend_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Intercepts and slopes of the least-squares lines of the rows of y on t = 1..N; infinite where one overflows."""
+    n = y.shape[-1]
+    _, exponent = np.frexp(np.abs(y).max(axis=-1))  # a power-of-two scale keeps the sums finite and the bits
+    y = np.ldexp(y, -exponent[:, None])
+    t = np.arange(1, n + 1, dtype=float)
+    t_dev = t - t.mean()
+    y_mean = y.mean(axis=-1)
+    slope = (t_dev * (y - y_mean[:, None])).sum(axis=-1) / (t_dev @ t_dev)
+    intercept = y_mean - slope * t.mean()
+    with np.errstate(over="ignore"):
+        return np.ldexp(intercept, exponent), np.ldexp(slope, exponent)
 
 
 def fit_trend(values: Sequence[float]) -> TrendLine:
@@ -185,30 +274,24 @@ def fit_trend(values: Sequence[float]) -> TrendLine:
     y = np.asarray(values, dtype=float)
     if y.size < 2:
         raise DataError(f"trend fit needs at least 2 observations, got {y.size}")
-    _, exponent = np.frexp(np.abs(y).max())  # a power-of-two scale keeps the sums finite and the bits
-    y = np.ldexp(y, -exponent)
-    t = np.arange(1, y.size + 1, dtype=float)
-    t_dev = t - t.mean()
-    slope = (t_dev @ (y - y.mean())) / (t_dev @ t_dev)
-    intercept = y.mean() - slope * t.mean()
-    with np.errstate(over="ignore"):  # TrendLine rejects a coefficient that overflows
-        return TrendLine(*(float(np.ldexp(c, exponent)) for c in (intercept, slope)))
+    intercept, slope = _fit_trend_rows(y[None, :])
+    return TrendLine(float(intercept[0]), float(slope[0]))  # TrendLine rejects a coefficient that overflows
+
+
+def _error_rows(actual: np.ndarray, fitted: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """MAPE, MAD and MSD along the last axis, NaN where one is undefined."""
+    with np.errstate(all="ignore"):
+        err = np.abs(actual - fitted)
+        mape = 100.0 * np.mean(err / np.abs(actual), axis=-1)
+        msd = np.mean(err * err, axis=-1)
+        _, exponent = np.frexp(err.max(axis=-1))  # a power-of-two scale keeps the sum of errors finite
+        mad = np.ldexp(np.mean(np.ldexp(err, -exponent[..., None]), axis=-1), exponent)
+    # a zero or subnormal actual value, squared errors that overflow, an error that overflows
+    return tuple(np.where(np.isfinite(metric), metric, np.nan) for metric in (mape, mad, msd))
 
 
 def _error_metrics(actual: np.ndarray, fitted: np.ndarray) -> AccuracyMetrics:
-    with np.errstate(all="ignore"):
-        err = np.abs(actual - fitted)
-        mape = float(100.0 * np.mean(err / np.abs(actual)))
-        msd = float(np.mean(err * err))
-        _, exponent = np.frexp(err.max())  # a power-of-two scale keeps the sum of errors finite
-        mad = float(np.ldexp(np.mean(np.ldexp(err, -exponent)), exponent))
-    if not math.isfinite(mape):  # a zero or subnormal actual value
-        mape = math.nan
-    if not math.isfinite(msd):  # squared errors overflow
-        msd = math.nan
-    if not math.isfinite(mad):  # an error overflows
-        mad = math.nan
-    return AccuracyMetrics(mape, mad, msd)
+    return AccuracyMetrics(*(float(metric) for metric in _error_rows(actual, fitted)))
 
 
 def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> AccuracyMetrics:
@@ -234,44 +317,72 @@ def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> Accura
     return metrics
 
 
+def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, aggregator: str) -> PanelDecomposition:
+    """`decompose` of every column of an (n, k) matrix whose first row is at `start`, in one pass.
+
+    The columns become the rows of a (k, n) matrix, and every statistic is
+    reduced along its last axis, row by row, so a column gives the same bits
+    alone or in a panel. Errors are those of a column-by-column run: the
+    first column with a fault, and its first fault in pipeline order, is
+    the one reported.
+    """
+    x = np.ascontiguousarray(np.asarray(data, dtype=float).T)
+    n = x.shape[1]
+    with np.errstate(all="ignore"):  # faults are raised column by column below
+        raw = _raw_seasonals(x, start, model, aggregator)
+        indices, _ = _normalize(model, raw)
+        slots = start.calendar_slots(n)
+        per_point = np.broadcast_to(indices[:, None, :], indices.shape[:1] + slots.shape)[:, slots]
+        deseasonalized = x / per_point if model == MULTIPLICATIVE else x - per_point
+        intercepts, slopes = _fit_trend_rows(deseasonalized)
+        trend_values = intercepts[:, None] + slopes[:, None] * np.arange(1, n + 1, dtype=float)
+        fitted = trend_values * per_point if model == MULTIPLICATIVE else trend_values + per_point
+        irregular = x / fitted if model == MULTIPLICATIVE else x - fitted
+    fitted.flags.writeable = irregular.flags.writeable = False
+    metrics = zip(*(metric.tolist() for metric in _error_rows(x, fitted)))
+    results = []
+    for j, (row, intercept, slope, accuracy) in enumerate(zip(indices.tolist(), intercepts.tolist(),
+                                                              slopes.tolist(), metrics)):
+        if model == MULTIPLICATIVE:
+            _check_positive(x[j], start)
+        with np.errstate(over="ignore", invalid="ignore"):
+            SeasonalIndices.from_values(model, raw[j])
+        _check_finite("deseasonalized value", deseasonalized[j], start,
+                      {"value": x[j], "seasonal index": per_point[j]})
+        trend = TrendLine(intercept, slope)
+        _check_finite("fitted value", fitted[j], start, {"trend": trend_values[j], "seasonal index": per_point[j]})
+        results.append(DecompositionResult(
+            model=model,
+            indices=SeasonalIndices(model, tuple(row)),
+            trend=trend,
+            fitted=fitted[j],
+            irregular=irregular[j],
+            accuracy=AccuracyMetrics(*accuracy),
+        ))
+    return PanelDecomposition(tuple(results), fitted.T, irregular.T)
+
+
 def decompose(
-    data: PriceSeries | ReturnSeries | Sequence[float],
+    data: PriceSeries | ReturnSeries | SeriesPanel | Sequence[float],
     start: MonthStamp | None = None,
     model: str = MULTIPLICATIVE,
     aggregator: str = MEDIAN,
-) -> DecompositionResult:
-    """Run the full classical decomposition pipeline on one series.
+) -> DecompositionResult | PanelDecomposition:
+    """Run the full classical decomposition pipeline on one series, or on every column of a panel.
 
     Parameters
     ----------
-    data : PriceSeries, ReturnSeries, or sequence of floats
+    data : PriceSeries, ReturnSeries, SeriesPanel, or sequence of floats
         A plain sequence needs `start`, the stamp of its first value. Price
         data is normally decomposed multiplicatively; series that can be
-        negative (returns) need the additive model.
+        negative (returns) need the additive model. A panel gives a
+        `PanelDecomposition` whose results equal those of its columns
+        decomposed one at a time.
     """
+    if isinstance(data, SeriesPanel):
+        return _decompose_columns(data.prices, data.start, model, aggregator)
     values, start = _coerce(data, start)
-    indices = seasonal_indices(values, start, model=model, aggregator=aggregator)
-    slots = start.calendar_slots(values.size)
-    per_point = np.broadcast_to(indices.values, slots.shape)[slots]
-
-    with np.errstate(all="ignore"):  # checked below
-        deseasonalized = values / per_point if model == MULTIPLICATIVE else values - per_point
-    _check_finite("deseasonalized value", deseasonalized, start, {"value": values, "seasonal index": per_point})
-    trend = fit_trend(deseasonalized)
-    with np.errstate(all="ignore"):  # fitted values are checked below; an irregular ratio may be infinite
-        trend_values = trend.value_at(np.arange(1, values.size + 1))
-        fitted = trend_values * per_point if model == MULTIPLICATIVE else trend_values + per_point
-        irregular = values / fitted if model == MULTIPLICATIVE else values - fitted
-    _check_finite("fitted value", fitted, start, {"trend": trend_values, "seasonal index": per_point})
-
-    return DecompositionResult(
-        model=model,
-        indices=indices,
-        trend=trend,
-        fitted=tuple(fitted.tolist()),
-        irregular=tuple(irregular.tolist()),
-        accuracy=_error_metrics(values, fitted),
-    )
+    return _decompose_columns(values[:, None], start, model, aggregator).results[0]
 
 
 def _check_finite(name: str, component: np.ndarray, start: MonthStamp, inputs: dict[str, np.ndarray]) -> None:

@@ -31,6 +31,7 @@ from .stats import (
     RETURNS,
     CorrelationMatrix,
     MonthlyReturnSummary,
+    _check_alpha,
     correlation_matrix,
     panel_monthly_mean_returns,
 )
@@ -59,8 +60,7 @@ class ReportConfig:
     fmt: str = FORMAT_MARKDOWN
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.fmt not in (FORMAT_MARKDOWN, FORMAT_JSON):
             raise DataError(f"format must be {FORMAT_MARKDOWN!r} or {FORMAT_JSON!r}, got {self.fmt!r}")
 
@@ -131,9 +131,8 @@ def analyze_panel(panel: SeriesPanel, config: ReportConfig, sections: Sequence[s
         return_corr = correlation_matrix(panel, RETURNS, config.alpha)
     decompositions = signs = ()
     if DECOMPOSITION_SECTION in sections:
-        decompositions = tuple(
-            (s.currency, decompose(s, model=config.model, aggregator=config.aggregator)) for s in panel.series
-        )
+        results = decompose(panel, model=config.model, aggregator=config.aggregator).results
+        decompositions = tuple(zip(panel.currencies, results))
         signs = classify_month_signs({code: result.indices for code, result in decompositions}, config.quorum)
     return PanelAnalysis(
         group=panel.group,
@@ -278,9 +277,9 @@ def matrix_payload(matrix: CorrelationMatrix) -> dict:
         "basis": matrix.basis,
         "labels": list(matrix.labels),
         "n": matrix.n,
-        "values": matrix.values.tolist(),
-        "p_values": matrix.p_values.tolist(),
-        "significant": matrix.significant.tolist(),
+        "values": matrix.values,
+        "p_values": matrix.p_values,
+        "significant": matrix.significant,
     }
 
 
@@ -297,8 +296,8 @@ def decomposition_payload(result: DecompositionResult) -> dict:
     }
 
 
-def render_json(analysis: PanelAnalysis) -> str:
-    """JSON of the sections the analysis holds; several sections also carry the span and period."""
+def analysis_payload(analysis: PanelAnalysis) -> dict:
+    """The JSON document of an analysis, with each correlation matrix's cells as k x k arrays."""
     sections = analysis.sections
     several = len(sections) > 1
     payload: dict = {"group": analysis.group}
@@ -322,7 +321,80 @@ def render_json(analysis: PanelAnalysis) -> str:
     if DECOMPOSITION_SECTION in sections:
         payload["decomposition"] = {code: decomposition_payload(result) for code, result in analysis.decompositions}
         payload["signs"] = list(analysis.signs)
-    return json.dumps(payload, indent=2) + "\n"
+    return payload
+
+
+def render_json(analysis: PanelAnalysis) -> str:
+    """JSON of the sections the analysis holds; several sections also carry the span and period.
+
+    The text is that of `json.dumps(analysis_payload(analysis), indent=2)`, arrays as lists, plus a newline.
+    """
+    return _JsonWriter().dumps(analysis_payload(analysis)) + "\n"
+
+
+class _JsonWriter:
+    """`json.dumps(payload, indent=2)`, byte for byte, with numpy arrays written as their `.tolist()`.
+
+    Dict keys must be strings. The structure is walked in Python, but a dict
+    or list that holds no dict, list or array goes to the C encoder in one
+    call, with the item separator of its depth. A 2-D array is written
+    straight from its cells, and each distinct bit pattern in it is
+    formatted once.
+    """
+
+    def __init__(self) -> None:
+        self.encoders: dict = {}
+        self.chunks: list[str] = []
+
+    def encode(self, value, separator: str) -> str:
+        """The C encoder's text for value with the given item separator."""
+        encoder = self.encoders.get(separator)
+        if encoder is None:
+            encoder = self.encoders[separator] = json.encoder.c_make_encoder(
+                None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", separator,
+                False, False, True,
+            )
+        return "".join(encoder(value, 0))
+
+    def dumps(self, value) -> str:
+        self.chunks = []
+        self.write(value, 0)
+        return "".join(self.chunks)
+
+    def write(self, value, level: int) -> None:
+        outer = "\n" + "  " * level
+        inner = outer + "  "
+        if isinstance(value, np.ndarray):
+            if value.ndim == 2 and value.size and value.dtype.kind in "biuf":
+                self.chunks.append(self.matrix(value, inner))
+                return
+            value = value.tolist()
+        if not isinstance(value, (dict, list, tuple)) or not value:
+            self.chunks.append(self.encode(value, ", "))
+            return
+        is_dict = isinstance(value, dict)
+        items = value.values() if is_dict else value
+        if not any(isinstance(item, (dict, list, tuple, np.ndarray)) for item in items):
+            text = self.encode(value, "," + inner)
+            self.chunks += [text[0], inner, text[1:-1], outer, text[-1]]
+            return
+        self.chunks.append("{" if is_dict else "[")
+        for position, item in enumerate(value.items() if is_dict else value):
+            self.chunks.append("," + inner if position else inner)
+            if is_dict:
+                key, item = item
+                self.chunks += [json.encoder.encode_basestring_ascii(key), ": "]
+            self.write(item, level + 1)
+        self.chunks += [outer, "}" if is_dict else "]"]
+
+    def matrix(self, array: np.ndarray, inner: str) -> str:
+        """The text of a non-empty 2-D array whose rows' items sit on lines indented like `inner`."""
+        distinct, cells = np.unique(array.view(f"u{array.itemsize}").ravel(), return_inverse=True)
+        texts = np.array(self.encode(distinct.view(array.dtype).tolist(), "\n")[1:-1].split("\n"), dtype=object)
+        cell_separator = "," + inner + "  "
+        rows = ["[" + inner + "  " + cell_separator.join(row) + inner + "]"
+                for row in texts[cells.reshape(array.shape)].tolist()]
+        return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
 
 
 # -------------------------------------------------------------- chart data

@@ -211,17 +211,29 @@ def _mean_ttests(values: np.ndarray, present: np.ndarray):
     return means, counts, np.where((counts >= 2) & (spreads != 0.0), t_stats, np.nan)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise DataError(f"alpha must be in (0, 1), got {alpha}")
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise DataError(f"{what} holds a non-finite value")
+
+
 def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
     """Two-sided one-sample Student t-test of the mean against mu0.
 
-    Returns (t_stat, df, p_value). Raises NumericError for samples with
-    fewer than two observations or with zero variance ("constant sample").
+    Returns (t_stat, df, p_value). Raises DataError for a non-finite value
+    and NumericError for samples with fewer than two observations or with
+    zero variance ("constant sample").
     """
     x = np.asarray(sample, dtype=float) - mu0
+    _check_finite(x, "t-test sample")
     if x.size < 2:
         raise NumericError(f"t-test needs at least 2 observations, got {x.size}")
     t_stat = _mean_ttests(x[None, :, None], np.ones((x.size, 1), dtype=bool))[2][0, 0]
-    if np.isnan(t_stat) and np.isfinite(x).all():
+    if np.isnan(t_stat):
         raise NumericError("constant sample: zero variance, t-test undefined")
     return TTestResult(float(t_stat), x.size - 1, float(_two_sided_p(t_stat, x.size - 1)))
 
@@ -258,16 +270,20 @@ def _correlation_t_p(r, n: int):
 
 
 def pearson(x: Sequence[float], y: Sequence[float]) -> float:
-    """Product-moment correlation of two equal-length sequences."""
+    """Product-moment correlation of two equal-length sequences of finite values."""
     ax = np.asarray(x, dtype=float)
     ay = np.asarray(y, dtype=float)
     if ax.size != ay.size:
         raise DataError(f"length mismatch: {ax.size} vs {ay.size}")
+    _check_finite(np.concatenate((ax, ay)), "correlation input")
     return float(_pearson_r(np.column_stack((ax, ay)))[0])
 
 
 def correlation_significance(r: float, n: int, alpha: float = 0.05) -> CorrelationTest:
     """Test a correlation against zero via the t transform with df = n - 2."""
+    if not math.isfinite(r):
+        raise DataError(f"correlation {r} is not finite")
+    _check_alpha(alpha)
     if abs(r) > 1.0 + 1e-12:
         raise DataError(f"correlation {r} outside [-1, 1]")
     if n < 3:
@@ -284,8 +300,7 @@ def _monthly_summaries(
     The twelve months, the columns of a calendar grid, and the overall record
     of all columns are tested in one pass. A fault is reported for the first column that has one.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     values = np.ascontiguousarray(returns.T)
     slots = start.calendar_slots(values.shape[1])
     grid = np.zeros(values.shape[:1] + slots.shape)
@@ -383,8 +398,7 @@ def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0
     """
     if basis not in (PRICES, RETURNS):
         raise DataError(f"basis must be {PRICES!r} or {RETURNS!r}, got {basis!r}")
-    if not 0.0 < alpha < 1.0:
-        raise DataError(f"alpha must be in (0, 1), got {alpha}")
+    _check_alpha(alpha)
     if len(panel) < 2:
         raise DataError("correlation matrix needs at least 2 series")
     data = panel.prices if basis == PRICES else panel.returns()

@@ -4,8 +4,9 @@ import warnings
 import numpy as np
 import pytest
 
-from goldseason import MonthStamp, SeriesPanel, parse_panel_csv, render_panel_csv
+from goldseason import MonthStamp, ReportConfig, SeriesPanel, analyze_panel, parse_panel_csv, render_panel_csv
 from goldseason.cli import run_cli
+from goldseason.report import analysis_payload
 
 from conftest import dipping_prices
 from test_report import DATA_DIR, two_currency_panel
@@ -74,6 +75,17 @@ class TestReport:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) >= {"returns", "correlations", "decomposition", "signs"}
+
+    def test_json_bytes_equal_the_stdlib_rendering(self, panel_csv, capsys):
+        assert run_cli(["report", "--input", str(panel_csv), "--format", "json", "--group", "måned"]) == 0
+        panel = parse_panel_csv(panel_csv.read_text(), "måned")
+        payload = analysis_payload(analyze_panel(panel, ReportConfig(fmt="json")))
+        for matrix in payload["correlations"].values():
+            for field in ("values", "p_values", "significant"):
+                matrix[field] = matrix[field].tolist()
+        out = capsys.readouterr().out
+        assert '"group": "m\\u00e5ned"' in out
+        assert out == json.dumps(payload, indent=2) + "\n"
 
     def test_byte_identical_runs(self, panel_csv, tmp_path):
         one, two = tmp_path / "r1.md", tmp_path / "r2.md"

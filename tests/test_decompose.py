@@ -204,7 +204,13 @@ class TestDecompose:
         assert result.trend.slope == 0.0
         assert result.trend.intercept == 5.0
         assert (result.accuracy.mape, result.accuracy.mad, result.accuracy.msd) == (0.0, 0.0, 0.0)
-        assert result.fitted == (5.0,) * 48
+        np.testing.assert_array_equal(result.fitted, np.full(48, 5.0), strict=True)
+
+    def test_result_is_read_only_and_unhashable(self):
+        result = decompose(make_series([5.0] * 48))
+        assert not result.fitted.flags.writeable and not result.irregular.flags.writeable
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(result)
 
     def test_noise_free_additive_round_trip(self, rng):
         truth = rng.uniform(-10, 10, 12)

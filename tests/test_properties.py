@@ -1,6 +1,8 @@
 """Property-based checks of the package's algebraic invariants."""
 
 import io
+import json
+import math
 import re
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,10 +14,12 @@ from hypothesis import strategies as st
 
 from goldseason import (
     ADDITIVE,
+    DataError,
     MEAN,
     MEDIAN,
     MULTIPLICATIVE,
     MonthStamp,
+    NumericError,
     PriceSeries,
     ReportConfig,
     SeasonalIndices,
@@ -37,6 +41,7 @@ from goldseason import (
     to_returns,
 )
 from goldseason.cli import run_cli
+from goldseason.report import _JsonWriter
 from goldseason.stats import PRICES, RETURNS, _two_sided_p, monthly_mean_returns, panel_monthly_mean_returns
 
 from conftest import dipping_prices, make_series
@@ -262,6 +267,45 @@ def test_panel_monthly_tests_equal_series_by_series(seed, start, n, k):
     assert batched == tuple(monthly_mean_returns(to_returns(s), 0.1) for s in panel.series)  # bit for bit
 
 
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=24, max_value=150),
+       st.integers(min_value=1, max_value=6), st.sampled_from([MULTIPLICATIVE, ADDITIVE]),
+       st.sampled_from([MEDIAN, MEAN]))
+@settings(max_examples=60)
+def test_panel_decomposition_equals_series_by_series(seed, start, n, k, model, aggregator):
+    prices = random_prices(seed, n, k)
+    if model == ADDITIVE:
+        prices -= prices.mean()  # values of both signs
+    panel = SeriesPanel("g", start, ("AAA", "BBB", "CCC", "DDD", "EEE", "FFF")[:k], prices)
+    batched = decompose(panel, model=model, aggregator=aggregator)
+    assert batched.results == tuple(decompose(prices[:, j], start, model, aggregator) for j in range(k))  # bit for bit
+    for matrix, field in ((batched.fitted, "fitted"), (batched.irregular, "irregular")):
+        assert matrix.shape == (n, k) and not matrix.flags.writeable
+        for result, column in zip(batched.results, matrix.T):
+            np.testing.assert_array_equal(column, getattr(result, field), strict=True)
+
+
+# The message of the faulty column, as the series-by-series loop (before decomposition was batched) raised it.
+UNDERFLOWED_INDEX = "deseasonalized value at 2000-04 is not finite: value 6.971862001356511e-205, seasonal index 0.0"
+
+
+@pytest.mark.parametrize("aggregator", [MEDIAN, MEAN])
+def test_panel_decomposition_reports_the_first_faulty_column(aggregator):
+    good = random_prices(1, 36, 1)[:, 0]
+    bad = 10.0 ** np.random.default_rng(3).uniform(-300.0, 300.0, (36, 2))  # the indices-near-1e-270 reproducer
+    negative = good.copy()
+    negative[5] = -1.0
+    faults = [
+        ((good, bad[:, 1], bad[:, 0]), NumericError, UNDERFLOWED_INDEX),
+        ((good, bad[:, 1], negative), NumericError, UNDERFLOWED_INDEX),
+        ((good, negative, bad[:, 1]), DataError, "multiplicative model requires positive values; got -1.0 at 2000-06"),
+    ]
+    for columns, error, message in faults:
+        panel = SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB", "CCC"), np.column_stack(columns))
+        with pytest.raises(error) as raised:
+            analyze_panel(panel, ReportConfig(aggregator=aggregator), ("decomposition",))
+        assert str(raised.value) == message
+
+
 def assert_matrices_close(got, want):
     assert got.labels == want.labels
     np.testing.assert_allclose(got.values, want.values, rtol=1e-12, atol=1e-12)
@@ -382,3 +426,49 @@ def test_extreme_magnitudes_exit_cleanly(tmp_path_factory, prices, start_index):
         assert caught == []
         assert code in (0, 3), err.getvalue()
         assert re.search(r"(?i)\b(inf|infinity|nan)\b", out.getvalue() + err.getvalue()) is None
+
+
+# ------------------------------------------------------------- JSON writer
+
+json_floats = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]),
+                        st.floats())
+json_strings = st.one_of(st.sampled_from(['"', "\\", ", ", "måned", 'say "hi", C:\\ ünïcødé ✓']), st.text())
+
+
+@st.composite
+def json_arrays(draw) -> np.ndarray:
+    """A 1-D or 2-D bool array, or a float array of such a shape whose cells repeat a few drawn values."""
+    shape = tuple(draw(st.integers(0, 5)) for _ in range(draw(st.integers(1, 2))))
+    size = int(np.prod(shape))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool).reshape(shape)
+    pool = draw(st.lists(json_floats, min_size=1, max_size=4))
+    return np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)), dtype=float).reshape(shape)
+
+
+json_leaves = st.one_of(json_floats, st.integers(min_value=-2 ** 70, max_value=2 ** 70), st.booleans(), st.none(),
+                        json_strings, json_arrays())
+json_payloads = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+                               st.dictionaries(json_strings, children, max_size=4)),
+    max_leaves=30,
+)
+
+
+def as_lists(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [as_lists(item) for item in value]
+    return value
+
+
+@given(json_payloads)
+@example({"zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]), "flags": np.array([[True, False], [True, True]])})
+@example([np.array([[1.7e308, -1.7e308, 5e-324], [math.nan, math.inf, -math.inf]]), "a, b", ["\\", '"']])
+@settings(max_examples=300)
+def test_json_writer_matches_stdlib_indent_2(payload):
+    assert _JsonWriter().dumps(payload) == json.dumps(as_lists(payload), indent=2)

@@ -78,6 +78,10 @@ class TestOneSampleTTest:
         with pytest.raises(NumericError, match="at least 2"):
             one_sample_ttest([1.0], 0.0)
 
+    def test_non_finite_value_is_data_error(self):
+        with pytest.raises(DataError, match="t-test sample holds a non-finite value"):
+            one_sample_ttest([1.0, math.nan, 2.0])
+
 
 class TestTwoSidedP:
     def test_matches_mpmath(self):
@@ -158,6 +162,10 @@ class TestPearson:
         with pytest.raises(NumericError, match="constant"):
             pearson([1, 1, 1], [1, 2, 3])
 
+    def test_non_finite_value_is_data_error(self):
+        with pytest.raises(DataError, match="correlation input holds a non-finite value"):
+            pearson([1, 2, math.inf], [1, 2, 3])
+
 
 class TestCorrelationSignificance:
     def test_zero_correlation(self):
@@ -187,6 +195,19 @@ class TestCorrelationSignificance:
     def test_rejects_out_of_range(self):
         with pytest.raises(DataError):
             correlation_significance(1.5, 10)
+
+    def test_rejects_nan(self):
+        with pytest.raises(DataError, match="correlation nan is not finite"):
+            correlation_significance(math.nan, 10)
+
+    @pytest.mark.parametrize("alpha", [2.0, 0.0, 1.0, -0.1, math.nan])
+    def test_alpha_validated_like_the_matrix(self, alpha, rng):
+        with pytest.raises(DataError, match=r"alpha must be in \(0, 1\)") as single:
+            correlation_significance(0.5, 10, alpha=alpha)
+        panel = SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB"), rng.uniform(1.0, 2.0, (10, 2)))
+        with pytest.raises(DataError) as matrix:
+            correlation_matrix(panel, alpha=alpha)
+        assert str(single.value) == str(matrix.value)
 
 
 class TestMonthlyMeanReturns:
