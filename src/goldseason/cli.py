@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 from pathlib import Path
 
@@ -45,6 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@functools.cache  # the parser is the same for every call; build it once per process
 def _build_parser() -> _Parser:
     parser = _Parser(prog="goldseason", description="Calendar-month anomaly analysis for monthly price panels.")
     sub = parser.add_subparsers(dest="command", required=True)

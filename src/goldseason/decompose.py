@@ -87,17 +87,17 @@ class SeasonalIndices:
         """Build indices from raw per-month aggregates, normalizing them."""
         _check_model(model)
         _check_twelve(values)
-        with np.errstate(divide="ignore", invalid="ignore"):  # a mean that is not positive is rejected below
-            v, mean = _normalize(model, np.asarray(values, dtype=float))
-        if model == MULTIPLICATIVE and mean <= 0.0:
-            raise DataError("multiplicative indices must have a positive mean")
-        return cls(model, tuple(v.tolist()))
+        return cls(model, tuple(_normalize(model, np.asarray(values, dtype=float)).tolist()))
 
 
-def _normalize(model: str, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-month aggregates along the last axis normalized as `SeasonalIndices` requires, and their means."""
-    means = raw.mean(axis=-1, keepdims=True)
-    return (raw / means if model == MULTIPLICATIVE else raw - means), means[..., 0]
+def _normalize(model: str, raw: np.ndarray) -> np.ndarray:
+    """Aggregates along the last axis normalized as `SeasonalIndices` requires; a multiplicative mean must be > 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # a mean that is not positive is rejected below
+        means = raw.mean(axis=-1, keepdims=True)
+        normalized = raw / means if model == MULTIPLICATIVE else raw - means
+    if model == MULTIPLICATIVE and (means <= 0.0).any():
+        raise DataError("multiplicative indices must have a positive mean")
+    return normalized
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,11 @@ def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregat
 
 
 def _check_positive(values: np.ndarray, start: MonthStamp) -> None:
-    nonpositive = values <= 0.0
-    if nonpositive.any():
-        bad = int(np.argmax(nonpositive))
-        raise DataError(f"multiplicative model requires positive values; got {values[bad]} at {start.shift(bad)}")
+    """Raise DataError at the first month of the first row of a (k, n) matrix that holds a value <= 0."""
+    nonpositive = np.argwhere(values <= 0.0)  # row-major: rows first, then months
+    if nonpositive.size:
+        bad = tuple(nonpositive[0].tolist())
+        raise DataError(f"multiplicative model requires positive values; got {values[bad]} at {start.shift(bad[1])}")
 
 
 def seasonal_indices(
@@ -250,7 +251,7 @@ def seasonal_indices(
     with np.errstate(all="ignore"):  # non-positive values are rejected below
         raw = _raw_seasonals(x[None, :], start, model, aggregator)[0]
     if model == MULTIPLICATIVE:
-        _check_positive(x, start)
+        _check_positive(x[None, :], start)
     with np.errstate(over="ignore", invalid="ignore"):
         return SeasonalIndices.from_values(model, raw)
 
@@ -322,44 +323,34 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
 
     The columns become the rows of a (k, n) matrix, and every statistic is
     reduced along its last axis, row by row, so a column gives the same bits
-    alone or in a panel. Errors are those of a column-by-column run: the
-    first column with a fault, and its first fault in pipeline order, is
-    the one reported.
+    alone or in a panel. Each stage checks its faults over all columns before
+    the next stage's result is used, as `decompose` describes.
     """
     x = np.ascontiguousarray(np.asarray(data, dtype=float).T)
     n = x.shape[1]
-    with np.errstate(all="ignore"):  # faults are raised column by column below
+    with np.errstate(all="ignore"):  # each stage's faults are raised before the next stage is used
         raw = _raw_seasonals(x, start, model, aggregator)
-        indices, _ = _normalize(model, raw)
+        if model == MULTIPLICATIVE:
+            _check_positive(x, start)
+        indices = _normalize(model, raw)
+        seasonal = [SeasonalIndices(model, tuple(row)) for row in indices.tolist()]
         slots = start.calendar_slots(n)
         per_point = np.broadcast_to(indices[:, None, :], indices.shape[:1] + slots.shape)[:, slots]
         deseasonalized = x / per_point if model == MULTIPLICATIVE else x - per_point
+        _check_finite("deseasonalized value", deseasonalized, start, {"value": x, "seasonal index": per_point})
         intercepts, slopes = _fit_trend_rows(deseasonalized)
+        trends = [TrendLine(intercept, slope) for intercept, slope in zip(intercepts.tolist(), slopes.tolist())]
         trend_values = intercepts[:, None] + slopes[:, None] * np.arange(1, n + 1, dtype=float)
         fitted = trend_values * per_point if model == MULTIPLICATIVE else trend_values + per_point
+        _check_finite("fitted value", fitted, start, {"trend": trend_values, "seasonal index": per_point})
         irregular = x / fitted if model == MULTIPLICATIVE else x - fitted
     fitted.flags.writeable = irregular.flags.writeable = False
     metrics = zip(*(metric.tolist() for metric in _error_rows(x, fitted)))
-    results = []
-    for j, (row, intercept, slope, accuracy) in enumerate(zip(indices.tolist(), intercepts.tolist(),
-                                                              slopes.tolist(), metrics)):
-        if model == MULTIPLICATIVE:
-            _check_positive(x[j], start)
-        with np.errstate(over="ignore", invalid="ignore"):
-            SeasonalIndices.from_values(model, raw[j])
-        _check_finite("deseasonalized value", deseasonalized[j], start,
-                      {"value": x[j], "seasonal index": per_point[j]})
-        trend = TrendLine(intercept, slope)
-        _check_finite("fitted value", fitted[j], start, {"trend": trend_values[j], "seasonal index": per_point[j]})
-        results.append(DecompositionResult(
-            model=model,
-            indices=SeasonalIndices(model, tuple(row)),
-            trend=trend,
-            fitted=fitted[j],
-            irregular=irregular[j],
-            accuracy=AccuracyMetrics(*accuracy),
-        ))
-    return PanelDecomposition(tuple(results), fitted.T, irregular.T)
+    results = tuple(
+        DecompositionResult(model, row, trend, fitted[j], irregular[j], AccuracyMetrics(*accuracy))
+        for j, (row, trend, accuracy) in enumerate(zip(seasonal, trends, metrics))
+    )
+    return PanelDecomposition(results, fitted.T, irregular.T)
 
 
 def decompose(
@@ -378,6 +369,12 @@ def decompose(
         negative (returns) need the additive model. A panel gives a
         `PanelDecomposition` whose results equal those of its columns
         decomposed one at a time.
+
+    Faults are checked once per stage, over all columns, in pipeline order:
+    positive values, seasonal indices with a positive mean, then finite
+    deseasonalized values, trend coefficients and fitted values. The first
+    faulty stage raises for the first column with that fault, at its first
+    faulty month; a single series is the one-column case.
     """
     if isinstance(data, SeriesPanel):
         return _decompose_columns(data.prices, data.start, model, aggregator)
@@ -386,12 +383,12 @@ def decompose(
 
 
 def _check_finite(name: str, component: np.ndarray, start: MonthStamp, inputs: dict[str, np.ndarray]) -> None:
-    """Raise NumericError at the first month where a component is not finite, naming the inputs it came from."""
-    unusable = ~np.isfinite(component)
-    if unusable.any():
-        bad = int(np.argmax(unusable))
+    """Raise NumericError at the first month of the first (k, n) row that is not finite, naming the inputs there."""
+    unusable = np.argwhere(~np.isfinite(component))  # row-major: rows first, then months
+    if unusable.size:
+        bad = tuple(unusable[0].tolist())
         causes = ", ".join(f"{label} {float(array[bad])!r}" for label, array in inputs.items())
-        raise NumericError(f"{name} at {start.shift(bad)} is not finite: {causes}")
+        raise NumericError(f"{name} at {start.shift(bad[1])} is not finite: {causes}")
 
 
 def seasonal_deviation_percent(indices: SeasonalIndices) -> tuple[float, ...]:

@@ -407,16 +407,21 @@ def emit_chart_data(
     """Write one CSV of per-month percent deviations for a currency group.
 
     Header is ``month,<CODE>,...`` followed by 12 rows with values at 4
-    decimal places, one column per currency in mapping order.
+    decimal places, one column per currency in mapping order. The file is
+    named after the group, so a group with a path separator is rejected
+    before anything is written.
     """
     if not results:
         raise DataError("chart data needs at least one decomposition result")
+    name = f"{group}_seasonal_deviation.csv"
+    if Path(name).name != name:
+        raise DataError(f"group {group!r} cannot name a chart file: it must be a single file-name component")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     lines = ["month," + ",".join(results)]
     deviations = zip(*(seasonal_deviation_percent(result.indices) for result in results.values()))
     for month, row in enumerate(deviations, start=1):
         lines.append(f"{month}," + ",".join(f"{value:.4f}" for value in row))
-    path = directory / f"{group}_seasonal_deviation.csv"
+    path = directory / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path

@@ -210,7 +210,7 @@ def _ratio_returns(prices: np.ndarray, codes, start: MonthStamp) -> np.ndarray:
         rets = prices[1:] / prices[:-1] - 1.0
     finite = np.isfinite(rets)
     if not finite.all():
-        row, col = (int(i) for i in np.argwhere(~finite)[0])
+        col, row = (int(i) for i in np.argwhere(~finite.T)[0])  # the first currency, then its first month
         raise NumericError(
             f"return of {codes[col]} at {start.shift(row + 1)} is not finite: "
             f"price {float(prices[row + 1, col])!r} after {float(prices[row, col])!r}"

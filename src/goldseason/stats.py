@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, ReturnSeries, SeriesPanel, to_returns
+from .series import MonthStamp, ReturnSeries, SeriesPanel
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -298,7 +298,9 @@ def _monthly_summaries(
     """`monthly_mean_returns` of every column of an (n, k) returns matrix whose first row is at `start`.
 
     The twelve months, the columns of a calendar grid, and the overall record
-    of all columns are tested in one pass. A fault is reported for the first column that has one.
+    of all columns are tested in one pass. A fault is reported for the first
+    bucket, calendar months 1..12 then the overall record, whose test is
+    undefined in any column.
     """
     _check_alpha(alpha)
     values = np.ascontiguousarray(returns.T)
@@ -310,7 +312,7 @@ def _monthly_summaries(
     p_values = _two_sided_p(t_stats, counts - 1)
     undefined = np.isnan(p_values)
     if undefined.any():
-        bucket = int(np.argmax(undefined[np.argmax(undefined.any(axis=1))]))
+        bucket = int(np.argmax(undefined.any(axis=0)))
         where = f"calendar month {bucket + 1}" if bucket < 12 else "all months"
         if counts[bucket] < 2:
             raise DataError(f"{where} has {counts[bucket]} observation(s); at least 2 required")
@@ -339,16 +341,13 @@ def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyR
 def panel_monthly_mean_returns(panel: SeriesPanel, alpha: float = 0.05) -> tuple[MonthlyReturnSummary, ...]:
     """`monthly_mean_returns(to_returns(s), alpha)` for every series s of the panel, in one pass.
 
-    Errors are those of a series-by-series run: the first currency with
-    a fault, in column order, is the one reported.
+    Faults are checked once per stage, over all currencies: first the
+    returns (the first currency with one that is not finite, at its first
+    such month), then the t-tests (the first of calendar months 1..12, then
+    the overall record, that is undefined for any currency). A one-currency
+    panel raises what `monthly_mean_returns(to_returns(s))` raises.
     """
-    try:
-        returns = panel.returns()
-    except NumericError:  # a return overflows; an earlier column may fail its t-tests first
-        for series in panel.series:
-            monthly_mean_returns(to_returns(series), alpha)
-        raise
-    return _monthly_summaries(returns, panel.start.shift(1), panel.currencies, alpha)
+    return _monthly_summaries(panel.returns(), panel.start.shift(1), panel.currencies, alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,7 +355,8 @@ class CorrelationMatrix:
     """Symmetric pairwise Pearson matrix with per-cell p-values and significance flags.
 
     `values`, `p_values` and `significant` are read-only k x k arrays in
-    label order.
+    label order. Construction checks only those shapes; `correlation_matrix`
+    builds the symmetry, the unit diagonal and the [-1, 1] range.
     """
 
     labels: tuple[str, ...]
@@ -370,20 +370,13 @@ class CorrelationMatrix:
     def __post_init__(self) -> None:
         k = len(self.labels)
         for name, dtype in (("values", float), ("p_values", float), ("significant", bool)):
-            array = np.array(getattr(self, name), dtype=dtype)
+            array = np.asarray(getattr(self, name), dtype=dtype)
             if array.shape != (k, k):
                 raise DataError(f"correlation {name} is not a {k} x {k} matrix")
-            array.flags.writeable = False
+            if array.flags.writeable:  # read-only input is shared, anything else copied
+                array = array.copy()
+                array.flags.writeable = False
             object.__setattr__(self, name, array)
-        values = self.values
-        not_unit = np.abs(values.diagonal() - 1.0) > 1e-12
-        if not_unit.any():
-            raise DataError(f"diagonal entry for {self.labels[int(np.argmax(not_unit))]} is not 1")
-        outside = np.abs(values) > 1.0 + 1e-12
-        if outside.any():
-            raise DataError(f"correlation {values[outside][0]} outside [-1, 1]")
-        if (np.abs(values - values.T) > 1e-12).any():
-            raise DataError("correlation matrix is not symmetric")
 
     def value(self, a: str, b: str) -> float:
         return float(self.values[self.labels.index(a), self.labels.index(b)])
@@ -412,11 +405,14 @@ def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0
     for matrix, cells in ((values, r), (p_values, p)):
         matrix[upper] = cells
         matrix.T[upper] = cells
+    significant = p_values < alpha
+    for matrix in (values, p_values, significant):
+        matrix.flags.writeable = False
     return CorrelationMatrix(
         labels=panel.currencies,
         values=values,
         p_values=p_values,
-        significant=p_values < alpha,
+        significant=significant,
         n=n,
         basis=basis,
         alpha=alpha,

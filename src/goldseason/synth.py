@@ -42,6 +42,11 @@ class GeneratorSpec:
         _check_model(self.model)
         if self.length < 24:
             raise DataError(f"length must be at least 24, got {self.length}")
+        for name in ("intercept", "slope", "noise_sd"):
+            if not np.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        if not np.isfinite(self.indices).all():
+            raise DataError(f"seasonal indices must be finite, got {list(self.indices)}")
         if self.noise_sd < 0.0:
             raise DataError(f"noise_sd must be >= 0, got {self.noise_sd}")
         normalized = SeasonalIndices.from_values(self.model, self.indices).values
@@ -54,25 +59,29 @@ def generate_series(spec: GeneratorSpec) -> PriceSeries:
     """Generate the monthly series described by a GeneratorSpec.
 
     The same spec (including seed) always yields a bit-identical series.
-    Raises DataError when the generated values are not strictly positive,
-    since a PriceSeries cannot hold them.
+    Raises DataError when a generated value is not finite or not strictly
+    positive, since a PriceSeries cannot hold it.
     """
     t = np.arange(1, spec.length + 1, dtype=float)
-    trend = spec.intercept + spec.slope * t
     slots = spec.start.calendar_slots(spec.length)
     season = np.broadcast_to(spec.indices, slots.shape)[slots]
 
-    if spec.model == MULTIPLICATIVE:
-        values = trend * season
-        if spec.noise_sd > 0.0:
-            rng = np.random.Generator(np.random.PCG64(spec.seed))
-            values = values * np.exp(rng.normal(0.0, spec.noise_sd, spec.length))
-    else:
-        values = trend + season
-        if spec.noise_sd > 0.0:
-            rng = np.random.Generator(np.random.PCG64(spec.seed))
-            values = values + rng.normal(0.0, spec.noise_sd, spec.length)
+    with np.errstate(over="ignore", invalid="ignore"):  # values that are not finite are rejected below
+        trend = spec.intercept + spec.slope * t
+        if spec.model == MULTIPLICATIVE:
+            values = trend * season
+            if spec.noise_sd > 0.0:
+                rng = np.random.Generator(np.random.PCG64(spec.seed))
+                values = values * np.exp(rng.normal(0.0, spec.noise_sd, spec.length))
+        else:
+            values = trend + season
+            if spec.noise_sd > 0.0:
+                rng = np.random.Generator(np.random.PCG64(spec.seed))
+                values = values + rng.normal(0.0, spec.noise_sd, spec.length)
 
+    if not np.isfinite(values).all():
+        bad = int(np.argmax(~np.isfinite(values)))
+        raise DataError(f"generated value {values[bad]} at {spec.start.shift(bad)} is not finite ({spec.model} model)")
     if (values <= 0.0).any():
         bad = int(np.argmax(values <= 0.0))
         raise DataError(

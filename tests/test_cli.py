@@ -60,6 +60,19 @@ class TestSynth:
         out = capsys.readouterr().out
         assert out.startswith("date,SYN")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--intercept", "nan"], "intercept must be finite, got nan"),
+        (["--intercept", "inf"], "intercept must be finite, got inf"),
+        (["--intercept", "100", "--indices", "nan" + ",1" * 11], "seasonal indices must be finite"),
+        (["--intercept", "100", "--noise-sd", "nan"], "noise_sd must be finite, got nan"),
+        (["--intercept", "1e308", "--slope", "1e308"], "generated value inf at 2000-01 is not finite"),
+    ])
+    def test_non_finite_values_are_data_errors(self, capsys, flags, message):
+        assert run_cli(["synth", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: {message}")
+
 
 class TestReport:
     def test_markdown_to_stdout(self, panel_csv, capsys):
@@ -113,6 +126,26 @@ class TestReport:
     def test_bad_start_flag(self, panel_csv, capsys):
         assert run_cli(["report", "--input", str(panel_csv), "--start", "噫"]) == 1
         assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("window, message", [
+        (["--start", "1999-12"], "slice 1999-12..2003-12 out of range for series SYN (2000-01..2003-12)"),
+        (["--end", "2004-01"], "slice 2000-01..2004-01 out of range for series SYN (2000-01..2003-12)"),
+        (["--start", "2002-01", "--end", "2001-06"], "slice start 2002-01 is after end 2001-06"),
+    ])
+    def test_window_outside_the_span_is_data_error(self, tmp_path, capsys, window, message):
+        path = tmp_path / "syn.csv"
+        assert run_cli(["synth", "--intercept", "100", "--length", "48", "--out", str(path)]) == 0
+        assert run_cli(["report", "--input", str(path), *window]) == 2
+        assert capsys.readouterr() == ("", f"data error: {message}\n")
+
+    @pytest.mark.parametrize("group", ["../escaped", "a/b"])
+    def test_group_with_a_path_separator_writes_no_chart(self, panel_csv, tmp_path, capsys, group):
+        charts = tmp_path / "out" / "charts"
+        assert run_cli(["report", "--input", str(panel_csv), "--charts", str(charts), "--group", group]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"data error: group {group!r} cannot name a chart file")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == ["a.csv", "b.csv", "panel.csv"]
 
 
 class TestSubcommands:
@@ -252,6 +285,20 @@ class TestExitCodes:
             if command in ("returns", "correlate", "report"):
                 assert code == 3
                 assert "AAA at 2000-0" in captured.err
+
+    @pytest.mark.parametrize("command", ["returns", "report"])
+    def test_overflowing_return_wins_in_every_column_order(self, tmp_path, capsys, command):
+        # 24 months leave calendar month 1 one return; the overflow is still reported first
+        rows = [(f"{2000 + i // 12}-{i % 12 + 1:02d}", 100.0 + i % 5, 50.0 + i % 7) for i in range(24)]
+        rows[3] = ("2000-04", 1e-310, 53.0)
+        for columns in ((1, 2), (2, 1)):
+            codes = ",".join(("AAA", "BBB")[j - 1] for j in columns)
+            path = tmp_path / f"two-{codes}.csv"
+            path.write_text(f"date,{codes}\n" + "".join(f"{r[0]},{r[columns[0]]!r},{r[columns[1]]!r}\n" for r in rows))
+            assert run_cli([command, "--input", str(path)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "numeric error: return of AAA at 2000-05 is not finite: price 104.0 after 1e-310\n"
 
     @pytest.mark.parametrize("command", ["returns", "report"])
     def test_tiny_price_keeps_month_tests_finite(self, tmp_path, capsys, command):

@@ -41,7 +41,7 @@ from goldseason import (
     to_returns,
 )
 from goldseason.cli import run_cli
-from goldseason.report import _JsonWriter
+from goldseason.report import REPORT, _JsonWriter
 from goldseason.stats import PRICES, RETURNS, _two_sided_p, monthly_mean_returns, panel_monthly_mean_returns
 
 from conftest import dipping_prices, make_series
@@ -290,14 +290,16 @@ UNDERFLOWED_INDEX = "deseasonalized value at 2000-04 is not finite: value 6.9718
 
 @pytest.mark.parametrize("aggregator", [MEDIAN, MEAN])
 def test_panel_decomposition_reports_the_first_faulty_column(aggregator):
+    # the earliest pipeline stage with a fault in any column is reported, for the first column that has it
     good = random_prices(1, 36, 1)[:, 0]
     bad = 10.0 ** np.random.default_rng(3).uniform(-300.0, 300.0, (36, 2))  # the indices-near-1e-270 reproducer
     negative = good.copy()
     negative[5] = -1.0
+    non_positive = "multiplicative model requires positive values; got -1.0 at 2000-06"
     faults = [
         ((good, bad[:, 1], bad[:, 0]), NumericError, UNDERFLOWED_INDEX),
-        ((good, bad[:, 1], negative), NumericError, UNDERFLOWED_INDEX),
-        ((good, negative, bad[:, 1]), DataError, "multiplicative model requires positive values; got -1.0 at 2000-06"),
+        ((good, bad[:, 1], negative), DataError, non_positive),
+        ((good, negative, bad[:, 1]), DataError, non_positive),
     ]
     for columns, error, message in faults:
         panel = SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB", "CCC"), np.column_stack(columns))
@@ -334,6 +336,44 @@ def test_permuting_columns_permutes_every_output(seed, start, n, data):
         np.testing.assert_allclose(got.values, want.values[index], rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(got.p_values, want.p_values[index], rtol=1e-12, atol=1e-12)
         np.testing.assert_array_equal(got.significant, want.significant[index])
+
+
+def raised_by(panel: SeriesPanel, sections) -> tuple[type | None, str]:
+    try:
+        analyze_panel(panel, ReportConfig(), sections)
+    except (DataError, NumericError) as exc:
+        return type(exc), str(exc)
+    return None, ""
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=36, max_value=72),
+       st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_permuting_columns_never_changes_the_fault(seed, start, n, short, data):
+    # short: 24 months leave one calendar month a single return, a fault of every column
+    n = 24 if short else n
+    k = data.draw(st.integers(min_value=2, max_value=4))
+    prices = random_prices(seed, n, k)
+    kinds = ("tiny price", "constant month", "negative price")
+    faults = data.draw(st.lists(st.tuples(st.sampled_from(kinds), st.integers(min_value=0, max_value=k - 1),
+                                          st.integers(min_value=1, max_value=n - 2)),
+                                min_size=0 if short else 1, max_size=2))
+    for kind, column, row in faults:
+        if kind == "tiny price":  # the return after it overflows
+            prices[row, column] = 1e-310
+        elif kind == "negative price":  # no multiplicative decomposition
+            prices[row, column] = -1.0
+        else:  # one calendar month's returns are all 0
+            month = prices[row % 12::12, column]
+            month[:] = prices[row % 12 - 1::12, column][:month.size]
+    sections = tuple(data.draw(st.sets(st.sampled_from(REPORT), min_size=1)))
+    order = data.draw(st.permutations(range(k)))
+    codes = ("AAA", "BBB", "CCC", "DDD")[:k]
+    base = raised_by(SeriesPanel("g", start, codes, prices), sections)
+    moved = raised_by(SeriesPanel("g", start, tuple(codes[j] for j in order), prices[:, order]), sections)
+    assert moved[0] is base[0]
+    if len({column for _, column, _ in faults}) <= 1:
+        assert moved == base
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=36, max_value=90),

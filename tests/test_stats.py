@@ -267,15 +267,15 @@ class TestMonthlyMeanReturns:
 
 
 class TestPanelMonthlyMeanReturns:
-    def test_fault_of_first_currency_is_reported(self):
-        # AAA has a constant May, BBB a return that overflows earlier in the
-        # file: a series-by-series run meets AAA's fault first
+    def test_earliest_faulty_stage_is_reported(self):
+        # AAA has a constant May, BBB a return that overflows: the returns of
+        # every currency are checked before any t-test, whatever the column order
         n = 48
         prices = np.column_stack([100.0 + np.arange(n) % 5, 50.0 + np.arange(n) % 7, 80.0 + np.arange(n) ** 2 % 11])
         prices[4::12, 0] = prices[3::12, 0]
         prices[2, 1] = 1e-310
         panel = SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB", "CCC"), prices)
-        with pytest.raises(NumericError, match="calendar month 5: constant sample"):
+        with pytest.raises(NumericError, match="return of BBB at 2000-04"):
             panel_monthly_mean_returns(panel)
         swapped = SeriesPanel("g", panel.start, ("BBB", "AAA", "CCC"), prices[:, [1, 0, 2]])
         with pytest.raises(NumericError, match="return of BBB at 2000-04"):

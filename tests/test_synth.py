@@ -48,6 +48,15 @@ class TestGeneratorSpec:
         with pytest.raises(DataError, match="model"):
             spec_with(model="mult")
 
+    @pytest.mark.parametrize("field, value", [
+        ("intercept", float("nan")), ("intercept", float("inf")), ("slope", float("-inf")),
+        ("noise_sd", float("nan")), ("noise_sd", float("inf")), ("indices", (float("nan"),) + (1.0,) * 11),
+    ])
+    def test_non_finite_parameter_rejected(self, field, value):
+        name = "seasonal indices" if field == "indices" else field
+        with pytest.raises(DataError, match=f"^{name} must be finite"):
+            spec_with(**{field: value})
+
 
 class TestGenerateSeries:
     def test_flat_spec_is_constant(self):
@@ -82,6 +91,12 @@ class TestGenerateSeries:
                          indices=(0.0,) * 12, length=24)
         with pytest.raises(DataError, match="non-positive"):
             generate_series(spec)
+
+    @pytest.mark.parametrize("model, flat", [(MULTIPLICATIVE, 1.0), (ADDITIVE, 0.0)])
+    def test_overflowing_value_rejected_without_a_warning(self, model, flat):
+        spec = spec_with(model=model, intercept=1e308, slope=1e308, indices=(flat,) * 12)
+        with pytest.raises(DataError, match=f"^generated value inf at 1990-01 is not finite [(]{model} model[)]$"):
+            generate_series(spec)  # the suite turns a RuntimeWarning into an error
 
     def test_round_trip_with_published_trend_parameters(self):
         # additive specs round-trip exactly through the decomposition
