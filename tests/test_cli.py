@@ -6,9 +6,10 @@ import pytest
 
 from goldseason import MonthStamp, ReportConfig, SeriesPanel, analyze_panel, parse_panel_csv, render_panel_csv
 from goldseason.cli import run_cli
-from goldseason.report import analysis_payload
+from goldseason.report import CORRELATIONS_SECTION, DECOMPOSITION_SECTION, RETURNS_SECTION
 
 from conftest import dipping_prices
+from reference_payload import reference_json
 from test_report import DATA_DIR, two_currency_panel
 
 
@@ -92,13 +93,29 @@ class TestReport:
     def test_json_bytes_equal_the_stdlib_rendering(self, panel_csv, capsys):
         assert run_cli(["report", "--input", str(panel_csv), "--format", "json", "--group", "måned"]) == 0
         panel = parse_panel_csv(panel_csv.read_text(), "måned")
-        payload = analysis_payload(analyze_panel(panel, ReportConfig(fmt="json")))
-        for matrix in payload["correlations"].values():
-            for field in ("values", "p_values", "significant"):
-                matrix[field] = matrix[field].tolist()
         out = capsys.readouterr().out
         assert '"group": "m\\u00e5ned"' in out
-        assert out == json.dumps(payload, indent=2) + "\n"
+        assert out == reference_json(analyze_panel(panel, ReportConfig(fmt="json")))
+
+    @pytest.mark.parametrize("command, config, sections", [
+        ("returns", {}, (RETURNS_SECTION,)),
+        ("correlate", {}, (CORRELATIONS_SECTION,)),
+        ("decompose", {"model": "additive", "aggregator": "mean"}, (DECOMPOSITION_SECTION,)),
+    ])
+    def test_section_json_bytes_equal_the_stdlib_rendering(self, panel_csv, capsys, command, config, sections):
+        flags = [part for key, value in config.items() for part in (f"--{key}", value)]
+        assert run_cli([command, "--input", str(panel_csv), "--format", "json", *flags]) == 0
+        analysis = analyze_panel(parse_panel_csv(panel_csv.read_text()), ReportConfig(fmt="json", **config), sections)
+        assert capsys.readouterr().out == reference_json(analysis)
+
+    def test_one_currency_json_has_null_correlations(self, tmp_path, capsys):
+        panel = SeriesPanel.from_series("solo", two_currency_panel().series[:1])
+        path = tmp_path / "solo.csv"
+        path.write_text(render_panel_csv(panel))
+        assert run_cli(["report", "--input", str(path), "--format", "json", "--group", "solo"]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["correlations"] == {"prices": None, "returns": None}
+        assert out == reference_json(analyze_panel(panel, ReportConfig(fmt="json")))
 
     def test_byte_identical_runs(self, panel_csv, tmp_path):
         one, two = tmp_path / "r1.md", tmp_path / "r2.md"
@@ -202,6 +219,10 @@ class TestOneAnalysisPath:
     def test_report_matches_golden_file(self, golden_csv, capsys):
         assert run_cli(["report", "--input", str(golden_csv), "--group", "twosynth"]) == 0
         assert capsys.readouterr().out == (DATA_DIR / "golden_report.md").read_text(encoding="utf-8")
+
+    def test_json_report_matches_golden_file(self, golden_csv, capsysbinary):
+        assert run_cli(["report", "--input", str(golden_csv), "--group", "twosynth", "--format", "json"]) == 0
+        assert capsysbinary.readouterr().out == (DATA_DIR / "golden_report.json").read_bytes()
 
     @pytest.mark.parametrize("command, index", [("returns", 1), ("correlate", 2), ("decompose", 3)])
     def test_subcommand_prints_its_report_section(self, golden_csv, capsys, command, index):
