@@ -111,7 +111,7 @@ def _load_panel(args) -> SeriesPanel:
     start = _parse_stamp_flag(args.start, "--start") or panel.start
     end = _parse_stamp_flag(args.end, "--end") or panel.end
     if (start, end) != (panel.start, panel.end):
-        panel = SeriesPanel.from_series(args.group, tuple(slice_span(s, start, end) for s in panel.series))
+        panel = slice_span(panel, start, end)
     return panel
 
 

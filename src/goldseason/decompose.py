@@ -74,13 +74,7 @@ class SeasonalIndices:
     def __post_init__(self) -> None:
         _check_model(self.model)
         _check_twelve(self.values)
-        scale = max(1.0, max(abs(v) for v in self.values))
-        if self.model == MULTIPLICATIVE:
-            if abs(sum(self.values) / len(self.values) - 1.0) > 1e-12 * scale:
-                raise DataError("multiplicative indices must average 1; use from_values to normalize")
-        else:
-            if abs(sum(self.values)) > 1e-12 * scale * len(self.values):
-                raise DataError("additive indices must sum to 0; use from_values to normalize")
+        _check_normalized(self.model, [self.values])
 
     @classmethod
     def from_values(cls, model: str, values: Sequence[float]) -> "SeasonalIndices":
@@ -93,11 +87,22 @@ class SeasonalIndices:
 def _normalize(model: str, raw: np.ndarray) -> np.ndarray:
     """Aggregates along the last axis normalized as `SeasonalIndices` requires; a multiplicative mean must be > 0."""
     with np.errstate(divide="ignore", invalid="ignore"):  # a mean that is not positive is rejected below
-        means = raw.mean(axis=-1, keepdims=True)
+        _, exponents = np.frexp(np.abs(raw).max(axis=-1, keepdims=True))  # a power-of-two scale keeps the sum finite
+        means = np.ldexp(np.ldexp(raw, -exponents).mean(axis=-1, keepdims=True), exponents)
         normalized = raw / means if model == MULTIPLICATIVE else raw - means
     if model == MULTIPLICATIVE and (means <= 0.0).any():
         raise DataError("multiplicative indices must have a positive mean")
     return normalized
+
+
+def _check_normalized(model: str, rows) -> None:
+    """Raise unless each row of 12 indices averages 1 (multiplicative) or sums to 0 (additive), to rounding."""
+    for values in rows:
+        scale = max(1.0, max(map(abs, values)))
+        if model == MULTIPLICATIVE and abs(sum(values) / 12 - 1.0) > 1e-12 * scale:
+            raise DataError("multiplicative indices must average 1; use from_values to normalize")
+        if model == ADDITIVE and abs(sum(values)) > 1e-12 * scale * 12:
+            raise DataError("additive indices must sum to 0; use from_values to normalize")
 
 
 @dataclass(frozen=True)
@@ -108,12 +113,16 @@ class TrendLine:
     slope: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.intercept) and math.isfinite(self.slope)):
-            raise NumericError("trend coefficients must be finite")
+        _check_trend((self.intercept, self.slope))
 
     def value_at(self, t):
         """Trend value at position(s) t (1-based)."""
         return self.intercept + self.slope * np.asarray(t, dtype=float)
+
+
+def _check_trend(coefficients) -> None:
+    if not all(map(math.isfinite, coefficients)):
+        raise NumericError("trend coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -154,16 +163,28 @@ class DecompositionResult:
 
 @dataclass(frozen=True, eq=False)
 class PanelDecomposition:
-    """Every column of a panel decomposed in one pass.
+    """Every column of a panel decomposed in one pass, as arrays with one column per series.
 
-    `results` holds one `DecompositionResult` per column, in column order;
-    `fitted` and `irregular` are read-only (months x columns) matrices whose
-    columns are those results' arrays.
+    `indices` is (12, k), `trend` (2, k): intercepts, slopes, and `accuracy`
+    (3, k): MAPE, MAD, MSD, NaN where undefined; `fitted` and `irregular` are
+    read-only (months x columns). `results` builds the per-column records.
     """
 
-    results: tuple[DecompositionResult, ...]
+    model: str
+    indices: np.ndarray
+    trend: np.ndarray
+    accuracy: np.ndarray
     fitted: np.ndarray
     irregular: np.ndarray
+
+    @property
+    def results(self) -> tuple[DecompositionResult, ...]:
+        columns = zip(self.indices.T.tolist(), self.trend.T.tolist(), self.accuracy.T.tolist())
+        return tuple(
+            DecompositionResult(self.model, SeasonalIndices(self.model, tuple(indices)), TrendLine(*trend),
+                                self.fitted[:, j], self.irregular[:, j], AccuracyMetrics(*accuracy))
+            for j, (indices, trend, accuracy) in enumerate(columns)
+        )
 
 
 def _moving_average(x: np.ndarray) -> np.ndarray:
@@ -218,8 +239,8 @@ def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregat
     grid = np.full((k,) + slots.shape, np.nan)
     grid[:, slots] = raws
     grid = np.ascontiguousarray(grid.transpose(0, 2, 1))  # (k, 12, years)
-    if aggregator == MEAN:
-        return np.nanmean(grid, axis=-1)
+    if aggregator == MEAN:  # a month with no raw seasonal gets NaN, and no warning as np.nanmean gives
+        return np.nansum(grid, axis=-1) / np.count_nonzero(~np.isnan(grid), axis=-1)
     grid.sort(axis=-1)  # NaN sorts last
     counts = np.count_nonzero(~np.isnan(grid), axis=-1)[..., None]
     low = np.take_along_axis(grid, (counts - 1) // 2, axis=-1)
@@ -333,24 +354,20 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
         if model == MULTIPLICATIVE:
             _check_positive(x, start)
         indices = _normalize(model, raw)
-        seasonal = [SeasonalIndices(model, tuple(row)) for row in indices.tolist()]
+        _check_normalized(model, indices.tolist())
         slots = start.calendar_slots(n)
         per_point = np.broadcast_to(indices[:, None, :], indices.shape[:1] + slots.shape)[:, slots]
         deseasonalized = x / per_point if model == MULTIPLICATIVE else x - per_point
         _check_finite("deseasonalized value", deseasonalized, start, {"value": x, "seasonal index": per_point})
-        intercepts, slopes = _fit_trend_rows(deseasonalized)
-        trends = [TrendLine(intercept, slope) for intercept, slope in zip(intercepts.tolist(), slopes.tolist())]
+        trend = np.stack(_fit_trend_rows(deseasonalized))  # intercepts, slopes
+        _check_trend(trend.ravel().tolist())
+        intercepts, slopes = trend
         trend_values = intercepts[:, None] + slopes[:, None] * np.arange(1, n + 1, dtype=float)
         fitted = trend_values * per_point if model == MULTIPLICATIVE else trend_values + per_point
         _check_finite("fitted value", fitted, start, {"trend": trend_values, "seasonal index": per_point})
         irregular = x / fitted if model == MULTIPLICATIVE else x - fitted
     fitted.flags.writeable = irregular.flags.writeable = False
-    metrics = zip(*(metric.tolist() for metric in _error_rows(x, fitted)))
-    results = tuple(
-        DecompositionResult(model, row, trend, fitted[j], irregular[j], AccuracyMetrics(*accuracy))
-        for j, (row, trend, accuracy) in enumerate(zip(seasonal, trends, metrics))
-    )
-    return PanelDecomposition(results, fitted.T, irregular.T)
+    return PanelDecomposition(model, indices.T, trend, np.stack(_error_rows(x, fitted)), fitted.T, irregular.T)
 
 
 def decompose(
@@ -397,9 +414,12 @@ def seasonal_deviation_percent(indices: SeasonalIndices) -> tuple[float, ...]:
     Multiplicative indices map to (value - 1) * 100. Additive offsets are
     returned in input units.
     """
-    if indices.model == MULTIPLICATIVE:
-        return tuple((v - 1.0) * 100.0 for v in indices.values)
-    return tuple(indices.values)
+    return tuple(_deviation_percent(indices.model, np.array(indices.values)).tolist())
+
+
+def _deviation_percent(model: str, indices: np.ndarray) -> np.ndarray:
+    """`seasonal_deviation_percent` of an array of indices."""
+    return (indices - 1.0) * 100.0 if model == MULTIPLICATIVE else indices
 
 
 def _coerce(

@@ -20,7 +20,9 @@ from .decompose import (
     MEDIAN,
     MULTIPLICATIVE,
     DecompositionResult,
+    PanelDecomposition,
     SeasonalIndices,
+    _deviation_percent,
     decompose,
     seasonal_deviation_percent,
 )
@@ -31,9 +33,10 @@ from .stats import (
     RETURNS,
     CorrelationMatrix,
     MonthlyReturnSummary,
+    MonthlyTests,
     _check_alpha,
     correlation_matrix,
-    panel_monthly_mean_returns,
+    monthly_tests,
 )
 
 SIGN_POSITIVE = "+"
@@ -96,7 +99,10 @@ def classify_month_signs(
 
 @dataclass(frozen=True)
 class PanelAnalysis:
-    """The sections of one panel's analysis; a section not computed is empty."""
+    """The sections of one panel's analysis, as arrays with one column per currency; a section not computed is None.
+
+    `summaries` and `decompositions` build per-currency records on request; they and `signs` are empty if not computed.
+    """
 
     group: str
     span: tuple[MonthStamp, MonthStamp]
@@ -105,11 +111,19 @@ class PanelAnalysis:
     alpha: float
     model: str
     aggregator: str
-    summaries: tuple[MonthlyReturnSummary, ...]
+    monthly: MonthlyTests | None
     price_correlation: CorrelationMatrix | None
     return_correlation: CorrelationMatrix | None
-    decompositions: tuple[tuple[str, DecompositionResult], ...]
+    decomposition: PanelDecomposition | None
     signs: tuple[str, ...]
+
+    @property
+    def summaries(self) -> tuple[MonthlyReturnSummary, ...]:
+        return self.monthly.summaries(self.currencies) if self.monthly is not None else ()
+
+    @property
+    def decompositions(self) -> tuple[tuple[str, DecompositionResult], ...]:
+        return tuple(zip(self.currencies, self.decomposition.results)) if self.decomposition is not None else ()
 
 
 def analyze_panel(panel: SeriesPanel, config: ReportConfig, sections: Sequence[str] = REPORT) -> PanelAnalysis:
@@ -122,31 +136,22 @@ def analyze_panel(panel: SeriesPanel, config: ReportConfig, sections: Sequence[s
     if not sections or not set(sections) <= set(REPORT):
         raise DataError(f"sections must be a non-empty subset of {REPORT}, got {tuple(sections)}")
     sections = tuple(name for name in REPORT if name in sections)
-    summaries = ()
+    monthly = price_corr = return_corr = decomposition = None
     if RETURNS_SECTION in sections:
-        summaries = panel_monthly_mean_returns(panel, config.alpha)
-    price_corr = return_corr = None
+        monthly = monthly_tests(panel.returns(), panel.start.shift(1), config.alpha)
     if CORRELATIONS_SECTION in sections and (len(panel) >= 2 or len(sections) == 1):
         price_corr = correlation_matrix(panel, PRICES, config.alpha)
         return_corr = correlation_matrix(panel, RETURNS, config.alpha)
-    decompositions = signs = ()
+    signs = ()
     if DECOMPOSITION_SECTION in sections:
-        results = decompose(panel, model=config.model, aggregator=config.aggregator).results
-        decompositions = tuple(zip(panel.currencies, results))
-        signs = classify_month_signs({code: result.indices for code, result in decompositions}, config.quorum)
+        decomposition = decompose(panel, model=config.model, aggregator=config.aggregator)
+        indices = {code: SeasonalIndices(config.model, tuple(values))
+                   for code, values in zip(panel.currencies, decomposition.indices.T.tolist())}
+        signs = classify_month_signs(indices, config.quorum)
     return PanelAnalysis(
-        group=panel.group,
-        span=(panel.start, panel.end),
-        currencies=panel.currencies,
-        sections=sections,
-        alpha=config.alpha,
-        model=config.model,
-        aggregator=config.aggregator,
-        summaries=summaries,
-        price_correlation=price_corr,
-        return_correlation=return_corr,
-        decompositions=decompositions,
-        signs=signs,
+        group=panel.group, span=(panel.start, panel.end), currencies=panel.currencies, sections=sections,
+        alpha=config.alpha, model=config.model, aggregator=config.aggregator, monthly=monthly,
+        price_correlation=price_corr, return_correlation=return_corr, decomposition=decomposition, signs=signs,
     )
 
 
@@ -168,18 +173,15 @@ def _fmt_metric(value: float) -> str:
     return "n/a" if math.isnan(value) else f"{value:.6g}"
 
 
-def markdown_returns_section(summaries: Sequence[MonthlyReturnSummary], alpha: float) -> str:
-    codes = [s.currency for s in summaries]
+def markdown_returns_section(tests: MonthlyTests, codes: Sequence[str]) -> str:
     lines = ["## Average monthly returns (%)", ""]
     lines.append("| Month | " + " | ".join(codes) + " |")
     lines.append("|" + " --- |" * (len(codes) + 1))
-    for month in range(1, 13):
-        cells = [_fmt_pct(s.per_month[month - 1].mean, s.per_month[month - 1].significant) for s in summaries]
-        lines.append(f"| {month} | " + " | ".join(cells) + " |")
-    cells = [_fmt_pct(s.overall.mean, s.overall.significant) for s in summaries]
-    lines.append("| Average | " + " | ".join(cells) + " |")
+    rows = zip([*range(1, 13), "Average"], tests.means.tolist(), (tests.p_values < tests.alpha).tolist())
+    for label, means, stars in rows:
+        lines.append(f"| {label} | " + " | ".join(map(_fmt_pct, means, stars)) + " |")
     lines.append("")
-    lines.append(f"\\* mean differs from zero at the {100 * (1 - alpha):g}% level (two-sided one-sample t-test)")
+    lines.append(f"\\* mean differs from zero at the {100 * (1 - tests.alpha):g}% level (two-sided one-sample t-test)")
     return "\n".join(lines)
 
 
@@ -208,24 +210,15 @@ def markdown_correlation_section(price_corr: CorrelationMatrix, return_corr: Cor
 
 
 def markdown_decomposition_section(analysis: PanelAnalysis) -> str:
-    decompositions, signs = analysis.decompositions, analysis.signs
-    codes = [code for code, _ in decompositions]
+    decomposition, codes = analysis.decomposition, analysis.currencies
     lines = [f"## Seasonal decomposition ({analysis.model}, {analysis.aggregator} aggregation)", ""]
     lines.append("| Month | " + " | ".join(codes) + " | Sign |")
     lines.append("|" + " --- |" * (len(codes) + 2))
-    for month in range(1, 13):
-        cells = [f"{result.indices.values[month - 1]:.4f}" for _, result in decompositions]
-        lines.append(f"| {month} | " + " | ".join(cells) + f" | {signs[month - 1]} |")
-    rows = [
-        ("MAPE", lambda r: _fmt_metric(r.accuracy.mape)),
-        ("MAD", lambda r: _fmt_metric(r.accuracy.mad)),
-        ("MSD", lambda r: _fmt_metric(r.accuracy.msd)),
-        ("Constant", lambda r: _fmt_metric(r.trend.intercept)),
-        ("Slope", lambda r: _fmt_metric(r.trend.slope)),
-    ]
-    for name, fmt in rows:
-        cells = [fmt(result) for _, result in decompositions]
-        lines.append(f"| {name} | " + " | ".join(cells) + " | |")
+    for month, (values, sign) in enumerate(zip(decomposition.indices.tolist(), analysis.signs), start=1):
+        lines.append(f"| {month} | " + " | ".join(f"{value:.4f}" for value in values) + f" | {sign} |")
+    metrics = np.concatenate((decomposition.accuracy, decomposition.trend)).tolist()
+    for name, values in zip(("MAPE", "MAD", "MSD", "Constant", "Slope"), metrics):
+        lines.append(f"| {name} | " + " | ".join(map(_fmt_metric, values)) + " | |")
     return "\n".join(lines)
 
 
@@ -240,161 +233,121 @@ def render_markdown(analysis: PanelAnalysis) -> str:
             f"Span {start}..{end}, {len(analysis.currencies)} currencies, alpha {analysis.alpha:g}.",
             "",
         ]
-    if analysis.summaries:
-        lines += [markdown_returns_section(analysis.summaries, analysis.alpha), ""]
+    if analysis.monthly is not None:
+        lines += [markdown_returns_section(analysis.monthly, analysis.currencies), ""]
     if analysis.price_correlation is not None:
         lines += [markdown_correlation_section(analysis.price_correlation, analysis.return_correlation), ""]
-    if analysis.decompositions:
+    if analysis.decomposition is not None:
         lines += [markdown_decomposition_section(analysis), ""]
     return "\n".join(lines)
 
 
 # -------------------------------------------------------------------- JSON
 
-def _nan_safe(value: float) -> float | None:
-    return None if math.isnan(value) else value
-
-
-def summary_payload(summary: MonthlyReturnSummary) -> dict:
-    def record(month, rec):
-        return {
-            "month": month,
-            "mean": rec.mean,
-            "n": rec.n,
-            "t_stat": rec.t_stat,
-            "p_value": rec.p_value,
-            "significant": rec.significant,
-        }
-
-    return {
-        "per_month": [record(m, rec) for m, rec in enumerate(summary.per_month, start=1)],
-        "overall": record(None, summary.overall),
-    }
-
-
-def matrix_payload(matrix: CorrelationMatrix) -> dict:
-    return {
-        "basis": matrix.basis,
-        "labels": list(matrix.labels),
-        "n": matrix.n,
-        "values": matrix.values,
-        "p_values": matrix.p_values,
-        "significant": matrix.significant,
-    }
-
-
-def decomposition_payload(result: DecompositionResult) -> dict:
-    return {
-        "model": result.model,
-        "indices": list(result.indices.values),
-        "deviation_percent": list(seasonal_deviation_percent(result.indices)),
-        "constant": result.trend.intercept,
-        "slope": result.trend.slope,
-        "mape": _nan_safe(result.accuracy.mape),
-        "mad": _nan_safe(result.accuracy.mad),
-        "msd": _nan_safe(result.accuracy.msd),
-    }
-
-
-def analysis_payload(analysis: PanelAnalysis) -> dict:
-    """The JSON document of an analysis, with each correlation matrix's cells as k x k arrays."""
-    sections = analysis.sections
-    several = len(sections) > 1
-    payload: dict = {"group": analysis.group}
-    if several:
-        start, end = analysis.span
-        payload["span"] = {"start": str(start), "end": str(end)}
-    if RETURNS_SECTION in sections or CORRELATIONS_SECTION in sections:
-        payload["alpha"] = analysis.alpha
-    if DECOMPOSITION_SECTION in sections:
-        payload["model"] = analysis.model
-        if several:
-            payload["period"] = 12
-        payload["aggregator"] = analysis.aggregator
-    if RETURNS_SECTION in sections:
-        payload["returns"] = {s.currency: summary_payload(s) for s in analysis.summaries}
-    if CORRELATIONS_SECTION in sections:
-        payload["correlations"] = {
-            PRICES: matrix_payload(analysis.price_correlation) if analysis.price_correlation else None,
-            RETURNS: matrix_payload(analysis.return_correlation) if analysis.return_correlation else None,
-        }
-    if DECOMPOSITION_SECTION in sections:
-        payload["decomposition"] = {code: decomposition_payload(result) for code, result in analysis.decompositions}
-        payload["signs"] = list(analysis.signs)
-    return payload
-
-
 def render_json(analysis: PanelAnalysis) -> str:
     """JSON of the sections the analysis holds; several sections also carry the span and period.
 
-    The text is that of `json.dumps(analysis_payload(analysis), indent=2)`, arrays as lists, plus a newline.
+    The text is `json.dumps(payload, indent=2)` plus a newline, for the payload `tests/reference_payload.py` builds.
     """
-    return _JsonWriter().dumps(analysis_payload(analysis)) + "\n"
+    writer, sections = _JsonWriter(), analysis.sections
+    several = len(sections) > 1
+    items = [("group", json.dumps(analysis.group))]
+    if several:
+        start, end = analysis.span
+        items.append(("span", _json_object([("start", f'"{start}"'), ("end", f'"{end}"')], 2)))
+    if RETURNS_SECTION in sections or CORRELATIONS_SECTION in sections:
+        items.append(("alpha", json.dumps(analysis.alpha)))
+    if DECOMPOSITION_SECTION in sections:
+        items.append(("model", json.dumps(analysis.model)))
+        if several:
+            items.append(("period", "12"))
+        items.append(("aggregator", json.dumps(analysis.aggregator)))
+    if RETURNS_SECTION in sections:
+        items.append(("returns", writer.returns(analysis.monthly, analysis.currencies)))
+    if CORRELATIONS_SECTION in sections:
+        matrices = [(PRICES, analysis.price_correlation), (RETURNS, analysis.return_correlation)]
+        items.append(("correlations", _json_object([(basis, writer.correlation(m)) for basis, m in matrices], 2)))
+    if DECOMPOSITION_SECTION in sections:
+        items.append(("decomposition", writer.decomposition(analysis.decomposition, analysis.currencies)))
+        items.append(("signs", _json_list(map(json.dumps, analysis.signs), 2)))
+    return _json_object(items, 1, "}\n")
+
+
+def _json_object(items, level: int, close: str = "}") -> str:
+    """A non-empty JSON object of (key, value text) pairs whose keys sit at nesting depth `level`."""
+    inner = "\n" + "  " * level
+    parts = [p for key, text in items for p in ("," + inner, json.encoder.encode_basestring_ascii(key), ": ", text)]
+    parts[0] = "{" + inner
+    return "".join(parts + [inner[:-2], close])  # one join copies each value text, however large, once
+
+
+def _json_list(texts, level: int) -> str:
+    """A non-empty JSON array of value texts whose items sit at nesting depth `level`."""
+    inner = "\n" + "  " * level
+    return "[" + inner + ("," + inner).join(texts) + inner[:-2] + "]"
 
 
 class _JsonWriter:
-    """`json.dumps(payload, indent=2)`, byte for byte, with numpy arrays written as their `.tolist()`.
+    """The per-currency sections and the matrices of `render_json`, in the bytes `json.dumps` gives them.
 
-    Dict keys must be strings. The structure is walked in Python, but a dict
-    or list that holds no dict, list or array goes to the C encoder in one
-    call, with the item separator of its depth. A 2-D array is written
-    straight from its cells, and each distinct bit pattern in it is
-    formatted once.
+    Values are formatted by the C encoder that `json.dumps` uses, one call
+    per array, and fill the slots of one record template per section. A
+    k x k matrix is written straight from its cells, and each distinct bit
+    pattern in it is formatted once.
     """
 
     def __init__(self) -> None:
-        self.encoders: dict = {}
-        self.chunks: list[str] = []
+        self.encoder = json.encoder.c_make_encoder(
+            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", "\n",
+            False, False, True,
+        )
 
-    def encode(self, value, separator: str) -> str:
-        """The C encoder's text for value with the given item separator."""
-        encoder = self.encoders.get(separator)
-        if encoder is None:
-            encoder = self.encoders[separator] = json.encoder.c_make_encoder(
-                None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", separator,
-                False, False, True,
-            )
-        return "".join(encoder(value, 0))
+    def texts(self, array: np.ndarray) -> np.ndarray:
+        """The text of each value of a non-empty array, in an object array of its shape."""
+        text = "".join(self.encoder(array.ravel().tolist(), 0))
+        return np.array(text[1:-1].split("\n"), dtype=object).reshape(array.shape)
 
-    def dumps(self, value) -> str:
-        self.chunks = []
-        self.write(value, 0)
-        return "".join(self.chunks)
+    def returns(self, tests: MonthlyTests, codes: Sequence[str]) -> str:
+        """The returns section: per currency, its twelve calendar-month records and the overall one."""
+        record = [(name, "%s") for name in ("mean", "n", "t_stat", "p_value", "significant")]
+        months = _json_list([_json_object([("month", str(month))] + record, 5) for month in range(1, 13)], 4)
+        template = _json_object([("per_month", months), ("overall", _json_object([("month", "null")] + record, 4))], 3)
+        cells = np.empty((5, 13, len(codes)), dtype=object)
+        cells[0], cells[2], cells[3] = self.texts(np.stack((tests.means, tests.t_stats, tests.p_values)))
+        cells[1] = tests.counts.astype(str)[:, None]
+        cells[4] = np.where(tests.p_values < tests.alpha, "true", "false")
+        rows = cells.transpose(2, 1, 0).reshape(len(codes), -1).tolist()
+        return _json_object([(code, template % tuple(row)) for code, row in zip(codes, rows)], 2)
 
-    def write(self, value, level: int) -> None:
-        outer = "\n" + "  " * level
-        inner = outer + "  "
-        if isinstance(value, np.ndarray):
-            if value.ndim == 2 and value.size and value.dtype.kind in "biuf":
-                self.chunks.append(self.matrix(value, inner))
-                return
-            value = value.tolist()
-        if not isinstance(value, (dict, list, tuple)) or not value:
-            self.chunks.append(self.encode(value, ", "))
-            return
-        is_dict = isinstance(value, dict)
-        items = value.values() if is_dict else value
-        if not any(isinstance(item, (dict, list, tuple, np.ndarray)) for item in items):
-            text = self.encode(value, "," + inner)
-            self.chunks += [text[0], inner, text[1:-1], outer, text[-1]]
-            return
-        self.chunks.append("{" if is_dict else "[")
-        for position, item in enumerate(value.items() if is_dict else value):
-            self.chunks.append("," + inner if position else inner)
-            if is_dict:
-                key, item = item
-                self.chunks += [json.encoder.encode_basestring_ascii(key), ": "]
-            self.write(item, level + 1)
-        self.chunks += [outer, "}" if is_dict else "]"]
+    def correlation(self, matrix: CorrelationMatrix | None) -> str:
+        if matrix is None:
+            return "null"
+        items = [("basis", json.dumps(matrix.basis)), ("labels", _json_list(map(json.dumps, matrix.labels), 4)),
+                 ("n", json.dumps(matrix.n))]
+        items += [(name, self.matrix(getattr(matrix, name), "\n" + "  " * 4))
+                  for name in ("values", "p_values", "significant")]
+        return _json_object(items, 3)
 
     def matrix(self, array: np.ndarray, inner: str) -> str:
         """The text of a non-empty 2-D array whose rows' items sit on lines indented like `inner`."""
         distinct, cells = np.unique(array.view(f"u{array.itemsize}").ravel(), return_inverse=True)
-        texts = np.array(self.encode(distinct.view(array.dtype).tolist(), "\n")[1:-1].split("\n"), dtype=object)
+        texts = self.texts(distinct.view(array.dtype))
         cell_separator = "," + inner + "  "
         rows = ["[" + inner + "  " + cell_separator.join(row) + inner + "]"
                 for row in texts[cells.reshape(array.shape)].tolist()]
         return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
+
+    def decomposition(self, decomposition: PanelDecomposition, codes: Sequence[str]) -> str:
+        """The decomposition section: per currency, its indices and deviations, trend and accuracy metrics."""
+        slots = _json_list(["%s"] * 12, 4)
+        template = _json_object([("model", "%s"), ("indices", slots), ("deviation_percent", slots)]
+                                + [(name, "%s") for name in ("constant", "slope", "mape", "mad", "msd")], 3)
+        model, indices, accuracy = decomposition.model, decomposition.indices, decomposition.accuracy
+        values = self.texts(np.concatenate((indices, _deviation_percent(model, indices), decomposition.trend,
+                                            accuracy)))
+        values[-3:][np.isnan(accuracy)] = "null"
+        columns = np.concatenate((np.full((1, len(codes)), json.dumps(model), dtype=object), values))
+        return _json_object([(code, template % tuple(column)) for code, column in zip(codes, columns.T.tolist())], 2)
 
 
 # -------------------------------------------------------------- chart data

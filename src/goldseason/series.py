@@ -20,7 +20,8 @@ thousands separators, no blank cells. Blank lines may only trail the data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -141,14 +142,13 @@ class ReturnSeries(_MonthlyColumn):
 class SeriesPanel:
     """Prices of several currencies over one span: a read-only (months x currencies) matrix.
 
-    `series` holds one `PriceSeries` per column, each a view of the matrix.
+    `series`, built on first access, holds one `PriceSeries` per column, each a view of the matrix.
     """
 
     group: str
     start: MonthStamp
     currencies: tuple[str, ...]
     prices: np.ndarray
-    series: tuple[PriceSeries, ...] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         codes = tuple(self.currencies)
@@ -161,9 +161,10 @@ class SeriesPanel:
             raise DataError(f"panel {self.group!r} has {prices.shape[1]} price columns for {len(codes)} codes")
         object.__setattr__(self, "currencies", codes)
         object.__setattr__(self, "prices", prices)
-        object.__setattr__(self, "series", tuple(
-            PriceSeries(code, self.start, prices[:, j]) for j, code in enumerate(codes)
-        ))
+
+    @cached_property
+    def series(self) -> tuple[PriceSeries, ...]:
+        return tuple(PriceSeries(code, self.start, self.prices[:, j]) for j, code in enumerate(self.currencies))
 
     @classmethod
     def from_series(cls, group: str, series: list[PriceSeries] | tuple[PriceSeries, ...]) -> "SeriesPanel":
@@ -248,32 +249,31 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     for code in codes:
         _check_currency(code)
 
-    start = previous = None
-    rows: list[list[str]] = []
-    try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            cells = line.split(",")
-            if len(cells) != len(header):
-                raise DataError(f"line {lineno}: expected {len(header)} cells, got {len(cells)}")
-            stamp = MonthStamp.parse(cells[0])
-            if previous is None:
-                start = stamp
-            else:
-                step = stamp.index() - previous.index()
-                if step == 0:
-                    raise DataError(f"duplicate stamp {stamp}")
-                if step < 0:
-                    raise DataError(f"stamps out of order at {stamp}")
-                if step > 1:
-                    raise DataError(f"calendar gap: missing {previous.shift(1)}")
-            previous = stamp
-            rows.append(cells[1:])
-    except DataError:
-        _check_prices(rows, codes, start)  # a bad price in an earlier row is reported first
-        raise
-
+    rows = [line.split(",") for line in lines[1:]]
     if not rows:
         raise DataError("document has a header but no data rows")
+    stamps = [cells.pop(0) for cells in rows]  # rows keep the price cells
+    start = MonthStamp.parse(stamps[0]) if len(rows[0]) == len(codes) else None  # a bad first stamp raises as below
+    # the whole stamp column against the texts of the months that follow the first, in one comparison
+    if start is None or stamps != _stamp_texts(start, len(rows)) or set(map(len, rows)) != {len(codes)}:
+        previous = None
+        try:  # the error branch: row by row, the first wrong cell count or stamp raises
+            for i, (text, cells) in enumerate(zip(stamps, rows)):
+                if len(cells) != len(codes):
+                    raise DataError(f"line {i + 2}: expected {len(header)} cells, got {len(cells) + 1}")
+                stamp = MonthStamp.parse(text)
+                if previous is not None:
+                    step = stamp.index() - previous.index()
+                    if step == 0:
+                        raise DataError(f"duplicate stamp {stamp}")
+                    if step < 0:
+                        raise DataError(f"stamps out of order at {stamp}")
+                    if step > 1:
+                        raise DataError(f"calendar gap: missing {previous.shift(1)}")
+                previous = stamp
+        except DataError:
+            _check_prices(rows[:i], codes, start)  # a bad price in an earlier row is reported first
+            raise
     try:
         prices = np.array(rows, dtype=float)
         valid = bool((np.isfinite(prices) & (prices > 0.0)).all())
@@ -282,7 +282,15 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     if not valid:
         _check_prices(rows, codes, start)
         raise DataError("prices could not be read as numbers")
+    prices.flags.writeable = False  # the panel shares it
     return SeriesPanel(group, start, tuple(codes), prices)
+
+
+def _stamp_texts(start: MonthStamp, n: int) -> list[str]:
+    """`str` of the n months from start; the list stops short after 9999-12, which no stamp text can follow."""
+    years = [f"{year:04d}" for year in range(start.year, min(start.year + (start.month + n + 10) // 12, 10000))]
+    months = [f"-{month:02d}" for month in range(1, 13)]
+    return [year + month for year in years for month in months][start.month - 1:start.month - 1 + n]
 
 
 def _check_prices(rows: list[list[str]], codes: list[str], start: MonthStamp) -> None:
@@ -316,18 +324,20 @@ def to_returns(series: PriceSeries) -> ReturnSeries:
     return ReturnSeries(series.currency, series.start.shift(1), rets[:, 0])
 
 
-def slice_span(series: PriceSeries, start: MonthStamp, end: MonthStamp) -> PriceSeries:
-    """Contiguous sub-series between two stamps, inclusive of both endpoints."""
+def slice_span(series: PriceSeries | SeriesPanel, start: MonthStamp, end: MonthStamp) -> PriceSeries | SeriesPanel:
+    """Contiguous sub-series between two stamps, inclusive of both endpoints; of a panel, one slice of its rows."""
     if start > end:
         raise DataError(f"slice start {start} is after end {end}")
+    panel = isinstance(series, SeriesPanel)
     if start < series.start or end > series.end:
         raise DataError(
-            f"slice {start}..{end} out of range for series {series.currency} "
+            f"slice {start}..{end} out of range for series {series.currencies[0] if panel else series.currency} "
             f"({series.start}..{series.end})"
         )
-    lo = start.index() - series.start.index()
-    hi = end.index() - series.start.index() + 1
-    return PriceSeries(series.currency, start, series.prices()[lo:hi])
+    rows = slice(start.index() - series.start.index(), end.index() - series.start.index() + 1)
+    if panel:
+        return SeriesPanel(series.group, start, series.currencies, series.prices[rows])
+    return PriceSeries(series.currency, start, series.prices()[rows])
 
 
 def align_panel(series: list[PriceSeries] | tuple[PriceSeries, ...], group: str = "panel") -> SeriesPanel:
@@ -345,7 +355,8 @@ def align_panel(series: list[PriceSeries] | tuple[PriceSeries, ...], group: str 
         raise DataError("series spans do not overlap")
     if overlap < 2:
         raise DataError(f"overlapping span {start}..{end} is shorter than 2 months")
-    return SeriesPanel.from_series(group, tuple(slice_span(s, start, end) for s in series))
+    prices = np.column_stack([s.prices()[start.index() - s.start.index():][:overlap] for s in series])
+    return SeriesPanel(group, start, tuple(s.currency for s in series), prices)
 
 
 def cumulative_growth(series: PriceSeries) -> float:

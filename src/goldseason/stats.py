@@ -292,10 +292,33 @@ def correlation_significance(r: float, n: int, alpha: float = 0.05) -> Correlati
     return CorrelationTest(float(t_stat), float(p), bool(p < alpha))
 
 
-def _monthly_summaries(
-    returns: np.ndarray, start: MonthStamp, currencies: Sequence[str], alpha: float
-) -> tuple[MonthlyReturnSummary, ...]:
-    """`monthly_mean_returns` of every column of an (n, k) returns matrix whose first row is at `start`.
+@dataclass(frozen=True, eq=False)
+class MonthlyTests:
+    """t-tests of the mean returns of k columns as (13, k) arrays: row m - 1 is calendar month m, row 12 all months.
+
+    `counts` holds the 13 observation counts every column shares.
+    """
+
+    alpha: float
+    means: np.ndarray
+    counts: np.ndarray
+    t_stats: np.ndarray
+    p_values: np.ndarray
+
+    def summaries(self, currencies: Sequence[str]) -> tuple[MonthlyReturnSummary, ...]:
+        """One `MonthlyReturnSummary` per column, labelled with `currencies`."""
+        sizes = self.counts.tolist()
+        summaries = []
+        columns = zip(currencies, self.means.T.tolist(), self.t_stats.T.tolist(), self.p_values.T.tolist())
+        for code, means, t_stats, p_values in columns:
+            records = [MeanReturnStat(mean, size, t_stat, p, p < self.alpha)
+                       for mean, size, t_stat, p in zip(means, sizes, t_stats, p_values)]
+            summaries.append(MonthlyReturnSummary(code, self.alpha, tuple(records[:12]), records[12]))
+        return tuple(summaries)
+
+
+def monthly_tests(returns: np.ndarray, start: MonthStamp, alpha: float) -> MonthlyTests:
+    """The calendar-month t-tests of every column of an (n, k) returns matrix whose first row is at `start`.
 
     The twelve months, the columns of a calendar grid, and the overall record
     of all columns are tested in one pass. A fault is reported for the first
@@ -317,15 +340,7 @@ def _monthly_summaries(
         if counts[bucket] < 2:
             raise DataError(f"{where} has {counts[bucket]} observation(s); at least 2 required")
         raise NumericError(f"{where}: constant sample: zero variance, t-test undefined")
-    summaries = []
-    sizes = counts.tolist()
-    for code, row_means, row_t, row_p in zip(currencies, means.tolist(), t_stats.tolist(), p_values.tolist()):
-        records = [
-            MeanReturnStat(mean, size, t_stat, p, p < alpha)
-            for mean, size, t_stat, p in zip(row_means, sizes, row_t, row_p)
-        ]
-        summaries.append(MonthlyReturnSummary(code, alpha, tuple(records[:12]), records[12]))
-    return tuple(summaries)
+    return MonthlyTests(alpha, means.T, counts, t_stats.T, p_values.T)
 
 
 def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyReturnSummary:
@@ -335,7 +350,7 @@ def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyR
     n >= 2); violations raise DataError naming the month. The overall
     record covers all observations.
     """
-    return _monthly_summaries(returns.values()[:, None], returns.start, (returns.currency,), alpha)[0]
+    return monthly_tests(returns.values()[:, None], returns.start, alpha).summaries((returns.currency,))[0]
 
 
 def panel_monthly_mean_returns(panel: SeriesPanel, alpha: float = 0.05) -> tuple[MonthlyReturnSummary, ...]:
@@ -347,7 +362,7 @@ def panel_monthly_mean_returns(panel: SeriesPanel, alpha: float = 0.05) -> tuple
     the overall record, that is undefined for any currency). A one-currency
     panel raises what `monthly_mean_returns(to_returns(s))` raises.
     """
-    return _monthly_summaries(panel.returns(), panel.start.shift(1), panel.currencies, alpha)
+    return monthly_tests(panel.returns(), panel.start.shift(1), alpha).summaries(panel.currencies)
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,6 +74,15 @@ class TestSynth:
         assert captured.out == ""
         assert captured.err.startswith(f"data error: {message}")
 
+    def test_indices_near_the_largest_double_normalize_to_flat(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli(["synth", "--intercept", "100", "--indices", ",".join(["1e308"] * 12)]) == 0
+            huge = capsys.readouterr()
+            assert run_cli(["synth", "--intercept", "100"]) == 0
+        assert huge.err == ""
+        assert huge.out == capsys.readouterr().out
+
 
 class TestReport:
     def test_markdown_to_stdout(self, panel_csv, capsys):

@@ -1,4 +1,6 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +285,16 @@ class TestDecompose:
         assert (top.trend.intercept, top.trend.slope, top.accuracy.mad) == tuple(math.ldexp(v, 1023) for v in unscaled)
         assert top.accuracy.mape == base.accuracy.mape
         assert math.isnan(top.accuracy.msd)
+
+    @pytest.mark.parametrize("aggregator", ["median", "mean"])
+    def test_calendar_month_without_raw_seasonals_is_numeric_error(self, aggregator):
+        values = np.linspace(100.0, 135.0, 36)
+        values[[0, 12, 24]] = np.nan  # every July; the MA windows around them leave no raw seasonal defined
+        message = "deseasonalized value at 2000-07 is not finite: value nan, seasonal index nan"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match=re.escape(message)):
+                decompose(values, MonthStamp(2000, 7), aggregator=aggregator)
 
     def test_fitted_value_past_the_largest_double_is_numeric_error(self):
         values = np.ldexp(np.minimum(np.linspace(1.0, 2.3, 48), 1.9), 1023)  # a trend that ends above 2^1024

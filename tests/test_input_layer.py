@@ -1,13 +1,24 @@
-"""The CSV parser and the --start/--end window against row-by-row references."""
+"""The CSV parser, the --start/--end window and `align_panel` against row-by-row references."""
 
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from goldseason import DataError, MonthStamp, NumericError, ReportConfig, SeriesPanel, analyze_panel, slice_span
+from goldseason import (
+    DataError,
+    MonthStamp,
+    NumericError,
+    PriceSeries,
+    ReportConfig,
+    SeriesPanel,
+    align_panel,
+    analyze_panel,
+    slice_span,
+)
 from goldseason.cli import run_cli
 from goldseason.report import REPORT, RETURNS_SECTION, render_json, render_markdown
 from goldseason.series import parse_panel_csv, render_panel_csv
@@ -53,7 +64,7 @@ def mutate(rows: list[list[str]], kind: str, at: int, extra) -> None:
     elif kind == "padded":
         rows[i][0] = extra + rows[i][0] + extra
     elif kind == "cells":
-        rows[i] = rows[i] + ["1.5"] if extra > 0 else rows[i][:-1]
+        rows[i] = rows[i] + ["1.5"] if extra > 0 else rows[i][:max(1, len(rows[i]) - 1)]  # the stamp stays
     elif kind == "price":
         rows[i][-1] = extra
 
@@ -125,3 +136,18 @@ def test_window_matches_restacked_slices(tmp_path_factory, lo, hi, fmt, command)
         code = run_cli(argv)
     sections = REPORT if command == "report" else (RETURNS_SECTION,)
     assert (code, out.getvalue(), err.getvalue()) == expected_run(panel, start, end, fmt, sections)
+
+
+@given(st.lists(st.tuples(st.integers(0, 30), st.integers(2, 40)), min_size=1, max_size=4))
+@settings(max_examples=100)
+def test_align_panel_matches_restacked_slices(spans):
+    series = [PriceSeries("ABCD"[j] * 3, MonthStamp.from_index(24000 + offset), 1.0 + np.arange(n) + j)
+              for j, (offset, n) in enumerate(spans)]
+    start = max(s.start for s in series)
+    end = min(s.end for s in series)
+    if end.index() - start.index() < 1:
+        with pytest.raises(DataError):
+            align_panel(series, "g")
+        return
+    expected = SeriesPanel.from_series("g", [slice_span(s, start, end) for s in series])
+    assert align_panel(series, "g") == expected

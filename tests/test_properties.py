@@ -1,7 +1,6 @@
 """Property-based checks of the package's algebraic invariants."""
 
 import io
-import json
 import math
 import re
 import warnings
@@ -41,11 +40,28 @@ from goldseason import (
     to_returns,
 )
 from goldseason.cli import run_cli
-from goldseason.report import REPORT, _JsonWriter
-from goldseason.stats import PRICES, RETURNS, _two_sided_p, monthly_mean_returns, panel_monthly_mean_returns
+from goldseason.decompose import PanelDecomposition
+from goldseason.report import (
+    CORRELATIONS_SECTION,
+    DECOMPOSITION_SECTION,
+    REPORT,
+    RETURNS_SECTION,
+    PanelAnalysis,
+    render_json,
+)
+from goldseason.stats import (
+    PRICES,
+    RETURNS,
+    CorrelationMatrix,
+    MonthlyTests,
+    _two_sided_p,
+    monthly_mean_returns,
+    panel_monthly_mean_returns,
+)
 
 from conftest import dipping_prices, make_series
 from reference_decompose import reference_decompose
+from reference_payload import reference_json
 
 returns_strategy = st.lists(
     st.floats(min_value=-0.6, max_value=1.5, allow_nan=False), min_size=1, max_size=79
@@ -470,45 +486,69 @@ def test_extreme_magnitudes_exit_cleanly(tmp_path_factory, prices, start_index):
 
 # ------------------------------------------------------------- JSON writer
 
-json_floats = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]),
-                        st.floats())
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, 1.7e308, -1.7e308, math.nan, math.inf, -math.inf]
+json_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
 json_strings = st.one_of(st.sampled_from(['"', "\\", ", ", "måned", 'say "hi", C:\\ ünïcødé ✓']), st.text())
 
 
+def filled_analysis(group, codes, sections, model, floats, raw, counts, signs, alpha) -> PanelAnalysis:
+    """An analysis whose monthly tests, matrices, trend and metrics cycle through `floats`, with indices from `raw`.
+
+    The trend takes only the finite floats, and the metrics also hold NaN.
+    """
+    k = len(codes)
+
+    def fill(values, *shape):
+        return np.resize(np.array(values), shape)
+
+    finite = [value for value in floats if math.isfinite(value)] or [0.0]
+    monthly = MonthlyTests(alpha, fill(floats, 13, k), np.array(counts + [sum(counts)]),
+                           fill(floats[1:] + floats[:1], 13, k), fill(floats[::-1], 13, k))
+    matrices = [CorrelationMatrix(codes, fill(floats, k, k), fill(floats[::-1], k, k), fill([True, False], k, k),
+                                  len(counts), basis, alpha) for basis in (PRICES, RETURNS)]
+    indices = np.array([SeasonalIndices.from_values(model, row).values for row in raw]).T
+    zeros = np.zeros((2, k))
+    accuracy = fill(floats + [math.nan], 3, k)
+    decomposition = PanelDecomposition(model, indices, fill(finite, 2, k), accuracy, zeros, zeros)
+    return PanelAnalysis(
+        group=group,
+        span=(MonthStamp(1979, 1), MonthStamp(2016, 2)),
+        currencies=codes,
+        sections=sections,
+        alpha=alpha,
+        model=model,
+        aggregator=MEDIAN,
+        monthly=monthly if RETURNS_SECTION in sections else None,
+        price_correlation=matrices[0] if CORRELATIONS_SECTION in sections and k >= 2 else None,
+        return_correlation=matrices[1] if CORRELATIONS_SECTION in sections and k >= 2 else None,
+        decomposition=decomposition if DECOMPOSITION_SECTION in sections else None,
+        signs=signs if DECOMPOSITION_SECTION in sections else (),
+    )
+
+
 @st.composite
-def json_arrays(draw) -> np.ndarray:
-    """A 1-D or 2-D bool array, or a float array of such a shape whose cells repeat a few drawn values."""
-    shape = tuple(draw(st.integers(0, 5)) for _ in range(draw(st.integers(1, 2))))
-    size = int(np.prod(shape))
-    if draw(st.booleans()):
-        return np.array(draw(st.lists(st.booleans(), min_size=size, max_size=size)), dtype=bool).reshape(shape)
-    pool = draw(st.lists(json_floats, min_size=1, max_size=4))
-    return np.array(draw(st.lists(st.sampled_from(pool), min_size=size, max_size=size)), dtype=float).reshape(shape)
+def drawn_analyses(draw) -> PanelAnalysis:
+    k = draw(st.integers(min_value=1, max_value=4))
+    chosen = draw(st.sets(st.sampled_from(REPORT), min_size=1))
+    return filled_analysis(
+        draw(json_strings),
+        tuple(draw(st.lists(json_strings, min_size=k, max_size=k, unique=True))),
+        tuple(name for name in REPORT if name in chosen),
+        draw(st.sampled_from([ADDITIVE, MULTIPLICATIVE])),
+        draw(st.lists(json_floats, min_size=1, max_size=8)),
+        draw(st.lists(st.lists(st.floats(min_value=0.01, max_value=100.0), min_size=12, max_size=12),
+                      min_size=k, max_size=k)),
+        draw(st.lists(st.integers(min_value=0, max_value=60), min_size=12, max_size=12)),
+        tuple(draw(st.lists(st.sampled_from("+-0"), min_size=12, max_size=12))),
+        draw(st.floats(min_value=1e-6, max_value=0.999)),
+    )
 
 
-json_leaves = st.one_of(json_floats, st.integers(min_value=-2 ** 70, max_value=2 ** 70), st.booleans(), st.none(),
-                        json_strings, json_arrays())
-json_payloads = st.recursive(
-    json_leaves,
-    lambda children: st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
-                               st.dictionaries(json_strings, children, max_size=4)),
-    max_leaves=30,
-)
-
-
-def as_lists(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {key: as_lists(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [as_lists(item) for item in value]
-    return value
-
-
-@given(json_payloads)
-@example({"zeros": np.array([[0.0, -0.0], [-0.0, 0.0]]), "flags": np.array([[True, False], [True, True]])})
-@example([np.array([[1.7e308, -1.7e308, 5e-324], [math.nan, math.inf, -math.inf]]), "a, b", ["\\", '"']])
+@given(drawn_analyses())
+@example(filled_analysis("måned", ("AAA", 'B\\"B'), REPORT, MULTIPLICATIVE, SPECIAL_FLOATS,
+                         [[1.0 + m / 12 for m in range(12)]] * 2, [3] * 12, ("+", "-", "0") * 4, 0.05))
+@example(filled_analysis("solo", ("AAA",), REPORT, ADDITIVE, [-0.0, math.nan], [[2.0] * 12], [0] * 12,
+                         ("0",) * 12, 0.5))
 @settings(max_examples=300)
-def test_json_writer_matches_stdlib_indent_2(payload):
-    assert _JsonWriter().dumps(payload) == json.dumps(as_lists(payload), indent=2)
+def test_json_writer_matches_stdlib_indent_2(analysis):
+    assert render_json(analysis) == reference_json(analysis)
