@@ -290,21 +290,15 @@ def _json_list(texts, level: int) -> str:
 class _JsonWriter:
     """The per-currency sections and the matrices of `render_json`, in the bytes `json.dumps` gives them.
 
-    Values are formatted by the C encoder that `json.dumps` uses, one call
-    per array, and fill the slots of one record template per section. A
+    Values are formatted by one `json.dumps` call per array, and fill the
+    slots of one record template per section. A
     k x k matrix is written straight from its cells, and each distinct bit
     pattern in it is formatted once.
     """
 
-    def __init__(self) -> None:
-        self.encoder = json.encoder.c_make_encoder(
-            None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None, ": ", "\n",
-            False, False, True,
-        )
-
     def texts(self, array: np.ndarray) -> np.ndarray:
         """The text of each value of a non-empty array, in an object array of its shape."""
-        text = "".join(self.encoder(array.ravel().tolist(), 0))
+        text = json.dumps(array.ravel().tolist(), separators=("\n", ": "))
         return np.array(text[1:-1].split("\n"), dtype=object).reshape(array.shape)
 
     def returns(self, tests: MonthlyTests, codes: Sequence[str]) -> str:
