@@ -291,9 +291,9 @@ class _JsonWriter:
     """The per-currency sections and the matrices of `render_json`, in the bytes `json.dumps` gives them.
 
     Values are formatted by one `json.dumps` call per array, and fill the
-    slots of one record template per section. A
-    k x k matrix is written straight from its cells, and each distinct bit
-    pattern in it is formatted once.
+    slots of one record template per section. A k x k matrix is written
+    straight from its cells, and each distinct bit pattern in it is
+    formatted once.
     """
 
     def texts(self, array: np.ndarray) -> np.ndarray:
