@@ -6,7 +6,7 @@ import pytest
 
 from goldseason import MonthStamp, ReportConfig, SeriesPanel, analyze_panel, parse_panel_csv, render_panel_csv
 from goldseason.cli import run_cli
-from goldseason.report import CORRELATIONS_SECTION, DECOMPOSITION_SECTION, RETURNS_SECTION
+from goldseason.report import CORRELATIONS_SECTION, DECOMPOSITION_SECTION, REPORT, RETURNS_SECTION
 
 from conftest import dipping_prices
 from reference_payload import reference_json
@@ -116,6 +116,23 @@ class TestReport:
         assert run_cli([command, "--input", str(panel_csv), "--format", "json", *flags]) == 0
         analysis = analyze_panel(parse_panel_csv(panel_csv.read_text()), ReportConfig(fmt="json", **config), sections)
         assert capsys.readouterr().out == reference_json(analysis)
+
+    @pytest.mark.parametrize("command, sections", [
+        ("report", REPORT),
+        ("returns", (RETURNS_SECTION,)),
+        ("correlate", (CORRELATIONS_SECTION,)),
+        ("decompose", (DECOMPOSITION_SECTION,)),
+    ])
+    def test_json_on_stdout_and_in_out_file_equals_the_stdlib_rendering(self, panel_csv, tmp_path, capsysbinary,
+                                                                         command, sections):
+        argv = [command, "--input", str(panel_csv), "--format", "json"]
+        expected = reference_json(analyze_panel(parse_panel_csv(panel_csv.read_text()), ReportConfig(), sections))
+        assert run_cli(argv) == 0
+        assert capsysbinary.readouterr() == (expected.encode(), b"")
+        out = tmp_path / "out.json"
+        assert run_cli(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr() == (b"", b"")
+        assert out.read_bytes() == expected.encode()
 
     def test_one_currency_json_has_null_correlations(self, tmp_path, capsys):
         panel = SeriesPanel.from_series("solo", two_currency_panel().series[:1])

@@ -28,7 +28,8 @@ from reference_parse import reference_parse_panel_csv
 CODES = ("AAA", "BBB", "CCC")
 STAMP_TEXTS = ["2000-1", "200-01", "2000-13", "2000-00", "2000/01", "", "abcd-ef", "99999-01", "2000-01-01",
                "1999-12", "\u0662\u0660\u0660\u0660-\u0660\u0661"]
-PRICE_TEXTS = ["x", "-1", "0", "nan", "inf", "", "1e400", " 2.5"]
+PRICE_TEXTS = ["x", "-1", "0", "nan", "inf", "", "1e400", " 2.5", "1_000", "\uff11\uff12", "\u0661\u0662", " 12", "+5",
+               ".5", "5.", "0x10", "#1", "  "]
 
 
 def outcome(parse, text: str):
@@ -79,6 +80,7 @@ def mutate(rows: list[list[str]], kind: str, at: int, extra) -> None:
 )
 @example(start=24000, n=5, k=2, edits=[("price", 1, "x"), ("duplicate", 3, None)], trailer="", bom=False)
 @example(start=24000, n=5, k=1, edits=[("padded", 2, " ")], trailer="\n", bom=True)
+@example(start=0, n=1, k=1, edits=[("price", 0, "")], trailer="", bom=False)  # "date,AAA\n0000-01,"
 @settings(max_examples=400, deadline=None)
 def test_parser_matches_the_row_by_row_reference(start, n, k, edits, trailer, bom):
     first = MonthStamp.from_index(start)

@@ -40,7 +40,7 @@ from goldseason import (
     to_returns,
 )
 from goldseason.cli import run_cli
-from goldseason.decompose import PanelDecomposition
+from goldseason.decompose import PanelDecomposition, _decompose_columns
 from goldseason.report import (
     CORRELATIONS_SECTION,
     DECOMPOSITION_SECTION,
@@ -61,6 +61,7 @@ from goldseason.stats import (
 
 from conftest import dipping_prices, make_series
 from reference_decompose import reference_decompose
+from reference_kernel import reference_decompose_columns
 from reference_payload import reference_json
 
 returns_strategy = st.lists(
@@ -298,6 +299,39 @@ def test_panel_decomposition_equals_series_by_series(seed, start, n, k, model, a
         assert matrix.shape == (n, k) and not matrix.flags.writeable
         for result, column in zip(batched.results, matrix.T):
             np.testing.assert_array_equal(column, getattr(result, field), strict=True)
+
+
+def decomposed(kernel, prices: np.ndarray, start: MonthStamp, model: str, aggregator: str):
+    """The arrays of a kernel's panel decomposition, or the type and message of what it raises."""
+    try:
+        result = kernel(prices, start, model, aggregator)
+    except (DataError, NumericError) as exc:
+        return type(exc), str(exc)
+    return tuple(getattr(result, name) for name in ("indices", "trend", "accuracy", "fitted", "irregular"))
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=24, max_value=240),
+       st.integers(min_value=1, max_value=6), st.sampled_from([MULTIPLICATIVE, ADDITIVE]),
+       st.sampled_from([MEDIAN, MEAN]), st.sampled_from(["walk", "zero", "extreme"]))
+@example(0, MonthStamp(2000, 1), 36, 2, MULTIPLICATIVE, MEDIAN, "extreme")
+@example(1, MonthStamp(2000, 7), 24, 1, ADDITIVE, MEAN, "zero")
+@settings(max_examples=150)
+def test_panel_decomposition_is_bitwise_the_reference_kernel(seed, start, n, k, model, aggregator, kind):
+    prices = random_prices(seed, n, k)
+    if kind == "extreme":  # cells in 1e-300..1e300: indices that underflow, values that overflow
+        prices = 10.0 ** np.random.default_rng(seed).uniform(-300.0, 300.0, (n, k))
+    if model == ADDITIVE:
+        prices -= prices.mean()  # values of both signs
+    if kind == "zero":  # an undefined MAPE, or a non-positive multiplicative value
+        prices[seed % n, seed % k] = 0.0
+    got = decomposed(_decompose_columns, prices, start, model, aggregator)
+    want = decomposed(reference_decompose_columns, prices, start, model, aggregator)
+    if isinstance(want[0], type):
+        assert got == want
+        return
+    for got_array, want_array in zip(got, want, strict=True):
+        np.testing.assert_array_equal(got_array, want_array, strict=True)  # NaN in the same places
+        np.testing.assert_array_equal(np.signbit(got_array), np.signbit(want_array))
 
 
 # The message of the faulty column, as the series-by-series loop (before decomposition was batched) raised it.
