@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import sys
 from pathlib import Path
+from typing import Iterable
 
 from .decompose import ADDITIVE, MEAN, MEDIAN, MULTIPLICATIVE
 from .errors import DataError, GoldseasonError, NumericError
@@ -30,7 +31,7 @@ from .report import (
     ReportConfig,
     analyze_panel,
     emit_chart_data,
-    render_json,
+    json_pieces,
     render_markdown,
 )
 from .series import MonthStamp, SeriesPanel, parse_panel_csv, render_panel_csv, slice_span
@@ -115,11 +116,12 @@ def _load_panel(args) -> SeriesPanel:
     return panel
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(pieces: Iterable[str], out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with open(out, "w", encoding="utf-8") as stream:
+            stream.writelines(pieces)
 
 
 # The analysis sections each subcommand computes and prints.
@@ -132,16 +134,16 @@ _SECTIONS = {
 _CONFIG_FIELDS = {field.name for field in dataclasses.fields(ReportConfig)}
 
 
-def _cmd_analyze(args) -> str:
+def _cmd_analyze(args) -> Iterable[str]:
     panel = _load_panel(args)
     config = ReportConfig(**{key: value for key, value in vars(args).items() if key in _CONFIG_FIELDS})
     analysis = analyze_panel(panel, config, _SECTIONS[args.command])
     if getattr(args, "charts", None):
         emit_chart_data(panel.group, dict(analysis.decompositions), args.charts)
-    return render_json(analysis) if config.fmt == FORMAT_JSON else render_markdown(analysis)
+    return json_pieces(analysis) if config.fmt == FORMAT_JSON else [render_markdown(analysis)]
 
 
-def _cmd_synth(args) -> str:
+def _cmd_synth(args) -> Iterable[str]:
     if args.indices is None:
         indices = (1.0,) * 12 if args.model == MULTIPLICATIVE else (0.0,) * 12
     else:
@@ -164,7 +166,7 @@ def _cmd_synth(args) -> str:
         currency=args.currency,
     )
     series = generate_series(spec)
-    return render_panel_csv(SeriesPanel.from_series("synthetic", (series,)))
+    return [render_panel_csv(SeriesPanel.from_series("synthetic", (series,)))]
 
 
 _COMMANDS = {**{command: _cmd_analyze for command in _SECTIONS}, "synth": _cmd_synth}
@@ -175,8 +177,7 @@ def run_cli(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _COMMANDS[args.command](args)
-        _emit(text, args.out)
+        _emit(_COMMANDS[args.command](args), args.out)
         return 0
     except UsageError as exc:
         sys.stderr.write(parser.format_usage())

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -198,7 +198,8 @@ def _moving_average(x: np.ndarray) -> np.ndarray:
     ma = twelfths[..., 1:1 + m].copy()
     for shift in range(2, 12):
         ma += twelfths[..., shift:shift + m]
-    ma += 0.5 * (twelfths[..., :m] + twelfths[..., 12:])
+    ends = twelfths[..., :m] + twelfths[..., 12:]
+    ma += np.multiply(0.5, ends, out=ends)
     return ma
 
 
@@ -231,14 +232,14 @@ def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregat
         raise DataError(f"need at least 24 observations, got {n}")
     if start is None:
         raise DataError("a start month is required to group by calendar month")
-    raws = np.full(x.shape, np.nan)
-    middle = x[:, 6:n - 6]
     ma = _moving_average(x)
-    raws[:, 6:n - 6] = middle / ma if model == MULTIPLICATIVE else middle - ma
+    raws = np.full(x.shape, np.nan)
+    (np.divide if model == MULTIPLICATIVE else np.subtract)(x[:, 6:n - 6], ma, out=raws[:, 6:n - 6])
+    del ma
     slots = start.calendar_slots(n)
-    grid = np.full((k,) + slots.shape, np.nan)
-    grid[:, slots] = raws
-    grid = np.ascontiguousarray(grid.transpose(0, 2, 1))  # (k, 12, years)
+    grid = np.full((k, 12, len(slots)), np.nan)  # (k, 12, years)
+    grid.transpose(0, 2, 1)[:, slots] = raws
+    del raws
     if aggregator == MEAN:  # a month with no raw seasonal gets NaN, and no warning as np.nanmean gives
         return np.nansum(grid, axis=-1) / np.count_nonzero(~np.isnan(grid), axis=-1)
     grid.sort(axis=-1)  # NaN sorts last
@@ -280,12 +281,14 @@ def seasonal_indices(
 def _fit_trend_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intercepts and slopes of the least-squares lines of the rows of y on t = 1..N; infinite where one overflows."""
     n = y.shape[-1]
-    _, exponent = np.frexp(np.abs(y).max(axis=-1))  # a power-of-two scale keeps the sums finite and the bits
+    _, exponent = np.frexp(np.maximum(y.max(axis=-1), -y.min(axis=-1)))  # max |y|; a power-of-two scale keeps the bits
     y = np.ldexp(y, -exponent[:, None])
     t = np.arange(1, n + 1, dtype=float)
     t_dev = t - t.mean()
     y_mean = y.mean(axis=-1)
-    slope = (t_dev * (y - y_mean[:, None])).sum(axis=-1) / (t_dev @ t_dev)
+    y -= y_mean[:, None]  # the residuals, centred and weighted in place
+    y *= t_dev
+    slope = y.sum(axis=-1) / (t_dev @ t_dev)
     intercept = y_mean - slope * t.mean()
     with np.errstate(over="ignore"):
         return np.ldexp(intercept, exponent), np.ldexp(slope, exponent)
@@ -304,10 +307,11 @@ def _error_rows(actual: np.ndarray, fitted: np.ndarray) -> tuple[np.ndarray, np.
     """MAPE, MAD and MSD along the last axis, NaN where one is undefined."""
     with np.errstate(all="ignore"):
         err = np.abs(actual - fitted)
-        mape = 100.0 * np.mean(err / np.abs(actual), axis=-1)
-        msd = np.mean(err * err, axis=-1)
+        scratch = np.abs(actual)  # each metric's terms in turn
+        mape = 100.0 * np.mean(np.divide(err, scratch, out=scratch), axis=-1)
+        msd = np.mean(np.multiply(err, err, out=scratch), axis=-1)
         _, exponent = np.frexp(err.max(axis=-1))  # a power-of-two scale keeps the sum of errors finite
-        mad = np.ldexp(np.mean(np.ldexp(err, -exponent[..., None]), axis=-1), exponent)
+        mad = np.ldexp(np.mean(np.ldexp(err, -exponent[..., None], out=scratch), axis=-1), exponent)
     # a zero or subnormal actual value, squared errors that overflow, an error that overflows
     return tuple(np.where(np.isfinite(metric), metric, np.nan) for metric in (mape, mad, msd))
 
@@ -358,16 +362,22 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
         slots = start.calendar_slots(n)
         per_point = np.broadcast_to(indices[:, None, :], indices.shape[:1] + slots.shape)[:, slots]
         deseasonalized = x / per_point if model == MULTIPLICATIVE else x - per_point
-        _check_finite("deseasonalized value", deseasonalized, start, {"value": x, "seasonal index": per_point})
+        _check_finite("deseasonalized value", deseasonalized, start, lambda: {"value": x, "seasonal index": per_point})
         trend = np.stack(_fit_trend_rows(deseasonalized))  # intercepts, slopes
+        del deseasonalized
         _check_trend(trend.ravel().tolist())
-        intercepts, slopes = trend
-        trend_values = intercepts[:, None] + slopes[:, None] * np.arange(1, n + 1, dtype=float)
-        fitted = trend_values * per_point if model == MULTIPLICATIVE else trend_values + per_point
-        _check_finite("fitted value", fitted, start, {"trend": trend_values, "seasonal index": per_point})
+        intercepts, slopes = trend[:, :, None]
+        t = np.arange(1, n + 1, dtype=float)
+        fitted = slopes * t
+        fitted += intercepts  # the trend values, then the fitted values in place
+        (np.multiply if model == MULTIPLICATIVE else np.add)(fitted, per_point, out=fitted)
+        _check_finite("fitted value", fitted, start,
+                      lambda: {"trend": intercepts + slopes * t, "seasonal index": per_point})
+        del per_point
+        accuracy = np.stack(_error_rows(x, fitted))
         irregular = x / fitted if model == MULTIPLICATIVE else x - fitted
     fitted.flags.writeable = irregular.flags.writeable = False
-    return PanelDecomposition(model, indices.T, trend, np.stack(_error_rows(x, fitted)), fitted.T, irregular.T)
+    return PanelDecomposition(model, indices.T, trend, accuracy, fitted.T, irregular.T)
 
 
 def decompose(
@@ -399,12 +409,12 @@ def decompose(
     return _decompose_columns(values[:, None], start, model, aggregator).results[0]
 
 
-def _check_finite(name: str, component: np.ndarray, start: MonthStamp, inputs: dict[str, np.ndarray]) -> None:
-    """Raise NumericError at the first month of the first (k, n) row that is not finite, naming the inputs there."""
+def _check_finite(name: str, component: np.ndarray, start: MonthStamp, inputs: Callable[[], dict]) -> None:
+    """Raise NumericError at the first month of the first (k, n) row that is not finite, naming `inputs()` there."""
     unusable = np.argwhere(~np.isfinite(component))  # row-major: rows first, then months
     if unusable.size:
         bad = tuple(unusable[0].tolist())
-        causes = ", ".join(f"{label} {float(array[bad])!r}" for label, array in inputs.items())
+        causes = ", ".join(f"{label} {float(array[bad])!r}" for label, array in inputs().items())
         raise NumericError(f"{name} at {start.shift(bad[1])} is not finite: {causes}")
 
 

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -249,6 +249,11 @@ def render_json(analysis: PanelAnalysis) -> str:
 
     The text is `json.dumps(payload, indent=2)` plus a newline, for the payload `tests/reference_payload.py` builds.
     """
+    return "".join(json_pieces(analysis))
+
+
+def json_pieces(analysis: PanelAnalysis) -> Iterator[str]:
+    """The text of `render_json` in pieces, in order; each matrix is formatted once the pieces before it are taken."""
     writer, sections = _JsonWriter(), analysis.sections
     several = len(sections) > 1
     items = [("group", json.dumps(analysis.group))]
@@ -273,12 +278,15 @@ def render_json(analysis: PanelAnalysis) -> str:
     return _json_object(items, 1, "}\n")
 
 
-def _json_object(items, level: int, close: str = "}") -> str:
-    """A non-empty JSON object of (key, value text) pairs whose keys sit at nesting depth `level`."""
+def _json_object(items, level: int, close: str = "}") -> Iterator[str]:
+    """The pieces of a non-empty JSON object of (key, text or iterable of pieces) pairs, keys at depth `level`."""
     inner = "\n" + "  " * level
-    parts = [p for key, text in items for p in ("," + inner, json.encoder.encode_basestring_ascii(key), ": ", text)]
-    parts[0] = "{" + inner
-    return "".join(parts + [inner[:-2], close])  # one join copies each value text, however large, once
+    separator = "{" + inner
+    for key, value in items:
+        yield separator + json.encoder.encode_basestring_ascii(key) + ": "
+        yield from (value,) if isinstance(value, str) else value
+        separator = "," + inner
+    yield inner[:-2] + close
 
 
 def _json_list(texts, level: int) -> str:
@@ -288,7 +296,7 @@ def _json_list(texts, level: int) -> str:
 
 
 class _JsonWriter:
-    """The per-currency sections and the matrices of `render_json`, in the bytes `json.dumps` gives them.
+    """The per-currency sections and the matrices of `render_json`, in pieces of the bytes `json.dumps` gives them.
 
     Values are formatted by one `json.dumps` call per array, and fill the
     slots of one record template per section. A k x k matrix is written
@@ -301,11 +309,12 @@ class _JsonWriter:
         text = json.dumps(array.ravel().tolist(), separators=("\n", ": "))
         return np.array(text[1:-1].split("\n"), dtype=object).reshape(array.shape)
 
-    def returns(self, tests: MonthlyTests, codes: Sequence[str]) -> str:
+    def returns(self, tests: MonthlyTests, codes: Sequence[str]) -> Iterator[str]:
         """The returns section: per currency, its twelve calendar-month records and the overall one."""
         record = [(name, "%s") for name in ("mean", "n", "t_stat", "p_value", "significant")]
-        months = _json_list([_json_object([("month", str(month))] + record, 5) for month in range(1, 13)], 4)
-        template = _json_object([("per_month", months), ("overall", _json_object([("month", "null")] + record, 4))], 3)
+        months = _json_list(["".join(_json_object([("month", str(month))] + record, 5)) for month in range(1, 13)], 4)
+        overall = _json_object([("month", "null")] + record, 4)
+        template = "".join(_json_object([("per_month", months), ("overall", overall)], 3))
         cells = np.empty((5, 13, len(codes)), dtype=object)
         cells[0], cells[2], cells[3] = self.texts(np.stack((tests.means, tests.t_stats, tests.p_values)))
         cells[1] = tests.counts.astype(str)[:, None]
@@ -313,7 +322,7 @@ class _JsonWriter:
         rows = cells.transpose(2, 1, 0).reshape(len(codes), -1).tolist()
         return _json_object([(code, template % tuple(row)) for code, row in zip(codes, rows)], 2)
 
-    def correlation(self, matrix: CorrelationMatrix | None) -> str:
+    def correlation(self, matrix: CorrelationMatrix | None) -> str | Iterator[str]:
         if matrix is None:
             return "null"
         items = [("basis", json.dumps(matrix.basis)), ("labels", _json_list(map(json.dumps, matrix.labels), 4)),
@@ -322,20 +331,21 @@ class _JsonWriter:
                   for name in ("values", "p_values", "significant")]
         return _json_object(items, 3)
 
-    def matrix(self, array: np.ndarray, inner: str) -> str:
-        """The text of a non-empty 2-D array whose rows' items sit on lines indented like `inner`."""
+    def matrix(self, array: np.ndarray, inner: str) -> Iterator[str]:
+        """The pieces, one per row, of a non-empty 2-D array whose rows' items sit on lines indented like `inner`."""
         distinct, cells = np.unique(array.view(f"u{array.itemsize}").ravel(), return_inverse=True)
         texts = self.texts(distinct.view(array.dtype))
-        cell_separator = "," + inner + "  "
-        rows = ["[" + inner + "  " + cell_separator.join(row) + inner + "]"
-                for row in texts[cells.reshape(array.shape)].tolist()]
-        return "[" + inner + ("," + inner).join(rows) + inner[:-2] + "]"
+        cell_separator, separator = "," + inner + "  ", "[" + inner
+        for row in texts[cells.reshape(array.shape)].tolist():
+            yield separator + "[" + inner + "  " + cell_separator.join(row) + inner + "]"
+            separator = "," + inner
+        yield inner[:-2] + "]"
 
-    def decomposition(self, decomposition: PanelDecomposition, codes: Sequence[str]) -> str:
+    def decomposition(self, decomposition: PanelDecomposition, codes: Sequence[str]) -> Iterator[str]:
         """The decomposition section: per currency, its indices and deviations, trend and accuracy metrics."""
         slots = _json_list(["%s"] * 12, 4)
-        template = _json_object([("model", "%s"), ("indices", slots), ("deviation_percent", slots)]
-                                + [(name, "%s") for name in ("constant", "slope", "mape", "mad", "msd")], 3)
+        template = "".join(_json_object([("model", "%s"), ("indices", slots), ("deviation_percent", slots)]
+                                        + [(name, "%s") for name in ("constant", "slope", "mape", "mad", "msd")], 3))
         model, indices, accuracy = decomposition.model, decomposition.indices, decomposition.accuracy
         values = self.texts(np.concatenate((indices, _deviation_percent(model, indices), decomposition.trend,
                                             accuracy)))

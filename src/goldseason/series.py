@@ -249,31 +249,47 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     for code in codes:
         _check_currency(code)
 
-    rows = [line.split(",") for line in lines[1:]]
-    if not rows:
+    body = lines[1:]
+    if not body:
         raise DataError("document has a header but no data rows")
+    stamps, _, rows = zip(*[line.partition(",") for line in body])  # each line split once: its stamp, its cells
+    n, k = len(body), len(codes)
+    start = MonthStamp.parse(stamps[0]) if body[0].count(",") == k else None  # a bad first stamp raises as below
+    # the whole stamp column against the texts of the months that follow the first, in one comparison, and the cell
+    # count of every line; then numpy's C reader takes the cells, unless a line is blank, which it would skip
+    fast = start is not None and list(stamps) == _stamp_texts(start, n) and {line.count(",") for line in body} == {k}
+    try:
+        prices = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if fast and all(map(str.strip, rows)) else None
+    except ValueError:
+        prices = None
+    if prices is None or prices.shape != (n, k) or not (np.isfinite(prices) & (prices > 0.0)).all():
+        prices = _parse_rows(body, codes, start)  # names the first fault, or reads cells only float() reads
+    prices.flags.writeable = False  # the panel shares it
+    return SeriesPanel(group, start, tuple(codes), prices)
+
+
+def _parse_rows(body: list[str], codes: list[str], start: MonthStamp | None) -> np.ndarray:
+    """The prices of the data lines read row by row with `float`; the first wrong cell count, stamp or price raises."""
+    rows = [line.split(",") for line in body]
     stamps = [cells.pop(0) for cells in rows]  # rows keep the price cells
-    start = MonthStamp.parse(stamps[0]) if len(rows[0]) == len(codes) else None  # a bad first stamp raises as below
-    # the whole stamp column against the texts of the months that follow the first, in one comparison
-    if start is None or stamps != _stamp_texts(start, len(rows)) or set(map(len, rows)) != {len(codes)}:
-        previous = None
-        try:  # the error branch: row by row, the first wrong cell count or stamp raises
-            for i, (text, cells) in enumerate(zip(stamps, rows)):
-                if len(cells) != len(codes):
-                    raise DataError(f"line {i + 2}: expected {len(header)} cells, got {len(cells) + 1}")
-                stamp = MonthStamp.parse(text)
-                if previous is not None:
-                    step = stamp.index() - previous.index()
-                    if step == 0:
-                        raise DataError(f"duplicate stamp {stamp}")
-                    if step < 0:
-                        raise DataError(f"stamps out of order at {stamp}")
-                    if step > 1:
-                        raise DataError(f"calendar gap: missing {previous.shift(1)}")
-                previous = stamp
-        except DataError:
-            _check_prices(rows[:i], codes, start)  # a bad price in an earlier row is reported first
-            raise
+    previous = None
+    try:
+        for i, (text, cells) in enumerate(zip(stamps, rows)):
+            if len(cells) != len(codes):
+                raise DataError(f"line {i + 2}: expected {len(codes) + 1} cells, got {len(cells) + 1}")
+            stamp = MonthStamp.parse(text)
+            if previous is not None:
+                step = stamp.index() - previous.index()
+                if step == 0:
+                    raise DataError(f"duplicate stamp {stamp}")
+                if step < 0:
+                    raise DataError(f"stamps out of order at {stamp}")
+                if step > 1:
+                    raise DataError(f"calendar gap: missing {previous.shift(1)}")
+            previous = stamp
+    except DataError:
+        _check_prices(rows[:i], codes, start)  # a bad price in an earlier row is reported first
+        raise
     try:
         prices = np.array(rows, dtype=float)
         valid = bool((np.isfinite(prices) & (prices > 0.0)).all())
@@ -282,8 +298,7 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     if not valid:
         _check_prices(rows, codes, start)
         raise DataError("prices could not be read as numbers")
-    prices.flags.writeable = False  # the panel shares it
-    return SeriesPanel(group, start, tuple(codes), prices)
+    return prices
 
 
 def _stamp_texts(start: MonthStamp, n: int) -> list[str]:
