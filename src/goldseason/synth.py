@@ -42,6 +42,9 @@ class GeneratorSpec:
         _check_model(self.model)
         if self.length < 24:
             raise DataError(f"length must be at least 24, got {self.length}")
+        if self.start.index() + self.length - 1 > MonthStamp(9999, 12).index():
+            raise DataError(f"{self.length} months from {self.start} end at {self.start.shift(self.length - 1)}, "
+                            "after 9999-12, the last month a stamp can name")
         for name in ("intercept", "slope", "noise_sd"):
             if not np.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")

@@ -74,6 +74,19 @@ class TestSynth:
         assert captured.out == ""
         assert captured.err.startswith(f"data error: {message}")
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--length", "24", "--start", "9999-01"], "24 months from 9999-01 end at 10000-12"),
+        (["--length", "10000000000"], "10000000000 months from 2000-01 end at 833335333-04"),  # nothing allocated
+    ])
+    def test_series_past_9999_12_is_data_error(self, capsys, flags, message):
+        assert run_cli(["synth", "--intercept", "100", *flags]) == 2
+        assert capsys.readouterr() == ("", f"data error: {message}, after 9999-12, the last month a stamp can name\n")
+
+    def test_series_ending_at_9999_12_round_trips(self, capsys):
+        assert run_cli(["synth", "--intercept", "100", "--length", "24", "--start", "9998-01"]) == 0
+        out = capsys.readouterr().out
+        assert render_panel_csv(parse_panel_csv(out, "synthetic")) == out
+
     def test_indices_near_the_largest_double_normalize_to_flat(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
