@@ -1,13 +1,15 @@
-"""Peak memory of the parser and the decomposition on a 200 x 1200 panel, measured with tracemalloc."""
+"""Peak memory of the parser, the decomposition and the JSON writer on a 200 x 1200 panel, traced by tracemalloc."""
 
 import tracemalloc
+from collections import deque
 
 import numpy as np
 import pytest
 
-from goldseason import MonthStamp, decompose, parse_panel_csv
+from goldseason import MonthStamp, ReportConfig, analyze_panel, decompose, parse_panel_csv
+from goldseason.report import json_pieces, render_json
 
-CODES = tuple(a + b + c for a in "ABCDEFGH" for b in "ABCDE" for c in "ABCDE")[:200]
+CODES = tuple(a + b + c for a in "ABCDEFGH" for b in "ABCDE" for c in "ABCDE")  # 200 codes
 
 
 @pytest.fixture(scope="module")
@@ -38,3 +40,10 @@ def test_parser_peak_is_at_most_five_times_the_text(panel_text):
 def test_decomposition_peak_is_at_most_seven_panels(panel_text):
     panel = parse_panel_csv(panel_text)
     assert traced_peak(lambda: decompose(panel)) <= 7 * panel.prices.nbytes
+
+
+def test_streamed_json_peak_is_below_the_document_length(panel_text):
+    # joining the pieces, as render_json does, holds the whole document and more
+    analysis = analyze_panel(parse_panel_csv(panel_text), ReportConfig(fmt="json"))
+    document = render_json(analysis)
+    assert traced_peak(lambda: deque(json_pieces(analysis), maxlen=0)) < len(document)
