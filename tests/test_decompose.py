@@ -121,6 +121,23 @@ class TestSeasonalIndices:
         with pytest.raises(DataError, match="aggregator"):
             seasonal_indices([1.0] * 24, start, MULTIPLICATIVE, aggregator="mode")
 
+    @pytest.mark.parametrize("values, start, model, aggregator", [
+        ([1.0] * 23, MonthStamp(2000, 1), MULTIPLICATIVE, "median"),
+        ([1.0] * 24, None, MULTIPLICATIVE, "median"),
+        ([1.0] * 11 + [0.0] + [1.0] * 24, MonthStamp(2000, 3), MULTIPLICATIVE, "median"),
+        ([1.0] * 30 + [-2.0] + [1.0] * 5, MonthStamp(2000, 1), MULTIPLICATIVE, "mean"),
+        ([1.0] * 24, MonthStamp(2000, 1), "mult", "median"),
+        ([1.0] * 24, MonthStamp(2000, 1), ADDITIVE, "mode"),
+    ])
+    def test_faults_are_those_of_decompose(self, values, start, model, aggregator):
+        raised = []
+        for estimate in (lambda: seasonal_indices(values, start, model, aggregator),
+                         lambda: decompose(values, start, model, aggregator)):
+            with pytest.raises(DataError) as info:
+                estimate()
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
+
     def test_from_values_normalizes(self):
         idx = SeasonalIndices.from_values(MULTIPLICATIVE, [2.0] * 12)
         assert idx.values == (1.0,) * 12

@@ -81,6 +81,10 @@ def mutate(rows: list[list[str]], kind: str, at: int, extra) -> None:
 @example(start=24000, n=5, k=2, edits=[("price", 1, "x"), ("duplicate", 3, None)], trailer="", bom=False)
 @example(start=24000, n=5, k=1, edits=[("padded", 2, " ")], trailer="\n", bom=True)
 @example(start=0, n=1, k=1, edits=[("price", 0, "")], trailer="", bom=False)  # "date,AAA\n0000-01,"
+@example(start=24000, n=5, k=2, edits=[("price", 1, "x"), ("malformed", 3, "2000-13")], trailer="", bom=False)
+@example(start=24000, n=5, k=2, edits=[("malformed", 2, "2000/01"), ("price", 2, "x")], trailer="", bom=False)
+@example(start=24000, n=5, k=2, edits=[("cells", 2, -1), ("price", 2, "x")], trailer="", bom=False)  # short and bad
+@example(start=24000, n=5, k=2, edits=[("price", 2, "1_000")], trailer="", bom=False)  # only float() reads it
 @settings(max_examples=400, deadline=None)
 def test_parser_matches_the_row_by_row_reference(start, n, k, edits, trailer, bom):
     first = MonthStamp.from_index(start)

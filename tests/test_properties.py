@@ -275,6 +275,14 @@ def test_median_indices_equal_per_month_medians(seed, start, n, model):
     assert seasonal_indices(values, start, model, MEDIAN) == expected  # bit for bit
 
 
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=24, max_value=150),
+       st.sampled_from([MULTIPLICATIVE, ADDITIVE]), st.sampled_from([MEDIAN, MEAN]))
+@settings(max_examples=60)
+def test_seasonal_indices_equal_the_decomposition_indices(seed, start, n, model, aggregator):
+    values = random_prices(seed, n, 1)[:, 0]
+    assert seasonal_indices(values, start, model, aggregator) == decompose(values, start, model, aggregator).indices
+
+
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=25, max_value=150),
        st.integers(min_value=1, max_value=5))
 @settings(max_examples=40)
