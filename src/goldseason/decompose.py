@@ -269,13 +269,19 @@ def seasonal_indices(
     years, so the MA covers every calendar month. Multiplicative
     estimation demands strictly positive values.
     """
-    x = np.asarray(values, dtype=float)
-    with np.errstate(all="ignore"):  # non-positive values are rejected below
-        raw = _raw_seasonals(x[None, :], start, model, aggregator)[0]
+    with np.errstate(all="ignore"):  # each stage's faults are raised before the next stage is used
+        indices = _index_rows(np.asarray(values, dtype=float)[None, :], start, model, aggregator)
+    return SeasonalIndices(model, tuple(indices[0].tolist()))
+
+
+def _index_rows(x: np.ndarray, start: MonthStamp | None, model: str, aggregator: str) -> np.ndarray:
+    """Normalized indices, (k, 12), of the rows of a (k, n) matrix from `start`; the first faulty stage raises."""
+    raw = _raw_seasonals(x, start, model, aggregator)
     if model == MULTIPLICATIVE:
-        _check_positive(x[None, :], start)
-    with np.errstate(over="ignore", invalid="ignore"):
-        return SeasonalIndices.from_values(model, raw)
+        _check_positive(x, start)
+    indices = _normalize(model, raw)
+    _check_normalized(model, indices.tolist())
+    return indices
 
 
 def _fit_trend_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -316,10 +322,6 @@ def _error_rows(actual: np.ndarray, fitted: np.ndarray) -> tuple[np.ndarray, np.
     return tuple(np.where(np.isfinite(metric), metric, np.nan) for metric in (mape, mad, msd))
 
 
-def _error_metrics(actual: np.ndarray, fitted: np.ndarray) -> AccuracyMetrics:
-    return AccuracyMetrics(*(float(metric) for metric in _error_rows(actual, fitted)))
-
-
 def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> AccuracyMetrics:
     """MAPE/MAD/MSD between actual and fitted values.
 
@@ -333,7 +335,7 @@ def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> Accura
         raise DataError(f"length mismatch: {a.size} actual vs {f.size} fitted")
     if a.size < 1:
         raise DataError("accuracy metrics need at least one observation")
-    metrics = _error_metrics(a, f)
+    metrics = AccuracyMetrics(*map(float, _error_rows(a, f)))
     if math.isnan(metrics.mape):
         raise NumericError("zero actual value or overflow: MAPE undefined")
     if math.isnan(metrics.msd):
@@ -354,11 +356,7 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
     x = np.ascontiguousarray(np.asarray(data, dtype=float).T)
     n = x.shape[1]
     with np.errstate(all="ignore"):  # each stage's faults are raised before the next stage is used
-        raw = _raw_seasonals(x, start, model, aggregator)
-        if model == MULTIPLICATIVE:
-            _check_positive(x, start)
-        indices = _normalize(model, raw)
-        _check_normalized(model, indices.tolist())
+        indices = _index_rows(x, start, model, aggregator)
         slots = start.calendar_slots(n)
         per_point = np.broadcast_to(indices[:, None, :], indices.shape[:1] + slots.shape)[:, slots]
         deseasonalized = x / per_point if model == MULTIPLICATIVE else x - per_point

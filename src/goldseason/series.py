@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DataError, NumericError
 
 _STAMP_RE = re.compile(r"^(\d{4})-(\d{2})$")
-_CODE_RE = re.compile(r"^[A-Za-z]{3}$")
+_CODE_RE = re.compile(r"[A-Za-z]{3}")
 
 
 @dataclass(frozen=True, order=True)
@@ -76,7 +76,7 @@ class MonthStamp:
 
 
 def _check_currency(code: str) -> None:
-    if not _CODE_RE.match(code):
+    if not _CODE_RE.fullmatch(code):
         raise DataError(f"currency code must be three letters, got {code!r}")
 
 
@@ -156,6 +156,8 @@ class SeriesPanel:
             raise DataError(f"panel {self.group!r} has no series")
         if len(set(codes)) != len(codes):
             raise DataError(f"panel {self.group!r} has duplicate currency codes: {list(codes)}")
+        for code in codes:
+            _check_currency(code)
         prices = _read_only(self.prices, 2, f"panel {self.group!r}")
         if prices.shape[1] != len(codes):
             raise DataError(f"panel {self.group!r} has {prices.shape[1]} price columns for {len(codes)} codes")
@@ -263,42 +265,37 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     except ValueError:
         prices = None
     if prices is None or prices.shape != (n, k) or not (np.isfinite(prices) & (prices > 0.0)).all():
-        prices = _parse_rows(body, codes, start)  # names the first fault, or reads cells only float() reads
+        prices = _parse_rows(body, codes)  # names the first fault, or reads cells only float() reads
     prices.flags.writeable = False  # the panel shares it
     return SeriesPanel(group, start, tuple(codes), prices)
 
 
-def _parse_rows(body: list[str], codes: list[str], start: MonthStamp | None) -> np.ndarray:
-    """The prices of the data lines read row by row with `float`; the first wrong cell count, stamp or price raises."""
-    rows = [line.split(",") for line in body]
-    stamps = [cells.pop(0) for cells in rows]  # rows keep the price cells
+def _parse_rows(body: list[str], codes: list[str]) -> np.ndarray:
+    """The prices of the data lines read with `float`; line by line, the first bad cell count, stamp or price raises."""
+    prices = []
     previous = None
-    try:
-        for i, (text, cells) in enumerate(zip(stamps, rows)):
-            if len(cells) != len(codes):
-                raise DataError(f"line {i + 2}: expected {len(codes) + 1} cells, got {len(cells) + 1}")
-            stamp = MonthStamp.parse(text)
-            if previous is not None:
-                step = stamp.index() - previous.index()
-                if step == 0:
-                    raise DataError(f"duplicate stamp {stamp}")
-                if step < 0:
-                    raise DataError(f"stamps out of order at {stamp}")
-                if step > 1:
-                    raise DataError(f"calendar gap: missing {previous.shift(1)}")
-            previous = stamp
-    except DataError:
-        _check_prices(rows[:i], codes, start)  # a bad price in an earlier row is reported first
-        raise
-    try:
-        prices = np.array(rows, dtype=float)
-        valid = bool((np.isfinite(prices) & (prices > 0.0)).all())
-    except ValueError:
-        valid = False
-    if not valid:
-        _check_prices(rows, codes, start)
-        raise DataError("prices could not be read as numbers")
-    return prices
+    for i, line in enumerate(body):
+        text, *cells = line.split(",")
+        if len(cells) != len(codes):
+            raise DataError(f"line {i + 2}: expected {len(codes) + 1} cells, got {len(cells) + 1}")
+        stamp = MonthStamp.parse(text)
+        step = 1 if previous is None else stamp.index() - previous.index()
+        if step == 0:
+            raise DataError(f"duplicate stamp {stamp}")
+        if step < 0:
+            raise DataError(f"stamps out of order at {stamp}")
+        if step > 1:
+            raise DataError(f"calendar gap: missing {previous.shift(1)}")
+        previous = stamp
+        for code, cell in zip(codes, cells):
+            try:
+                price = float(cell)
+            except ValueError:
+                raise DataError(f"non-numeric price {cell!r} at {stamp} in column {code}") from None
+            if not 0.0 < price < np.inf:
+                raise DataError(f"non-positive price {cell!r} at {stamp} in column {code}")
+            prices.append(price)
+    return np.array(prices).reshape(len(body), len(codes))
 
 
 def _stamp_texts(start: MonthStamp, n: int) -> list[str]:
@@ -306,18 +303,6 @@ def _stamp_texts(start: MonthStamp, n: int) -> list[str]:
     years = [f"{year:04d}" for year in range(start.year, min(start.year + (start.month + n + 10) // 12, 10000))]
     months = [f"-{month:02d}" for month in range(1, 13)]
     return [year + month for year in years for month in months][start.month - 1:start.month - 1 + n]
-
-
-def _check_prices(rows: list[list[str]], codes: list[str], start: MonthStamp) -> None:
-    """Raise for the first cell, in row order, that is not a positive finite number."""
-    for i, cells in enumerate(rows):
-        for code, cell in zip(codes, cells):
-            try:
-                price = float(cell)
-            except ValueError:
-                raise DataError(f"non-numeric price {cell!r} at {start.shift(i)} in column {code}") from None
-            if not np.isfinite(price) or price <= 0.0:
-                raise DataError(f"non-positive price {cell!r} at {start.shift(i)} in column {code}")
 
 
 def render_panel_csv(panel: SeriesPanel) -> str:

@@ -323,7 +323,9 @@ def monthly_tests(returns: np.ndarray, start: MonthStamp, alpha: float) -> Month
     The twelve months, the columns of a calendar grid, and the overall record
     of all columns are tested in one pass. A fault is reported for the first
     bucket, calendar months 1..12 then the overall record, whose test is
-    undefined in any column.
+    undefined in any column. Of a panel, `panel.returns()` raises first, for the
+    first currency with a return that is not finite, at its first such month,
+    so faults are checked stage by stage over all currencies, as for one series.
     """
     _check_alpha(alpha)
     values = np.ascontiguousarray(returns.T)
@@ -351,18 +353,6 @@ def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyR
     record covers all observations.
     """
     return monthly_tests(returns.values()[:, None], returns.start, alpha).summaries((returns.currency,))[0]
-
-
-def panel_monthly_mean_returns(panel: SeriesPanel, alpha: float = 0.05) -> tuple[MonthlyReturnSummary, ...]:
-    """`monthly_mean_returns(to_returns(s), alpha)` for every series s of the panel, in one pass.
-
-    Faults are checked once per stage, over all currencies: first the
-    returns (the first currency with one that is not finite, at its first
-    such month), then the t-tests (the first of calendar months 1..12, then
-    the overall record, that is undefined for any currency). A one-currency
-    panel raises what `monthly_mean_returns(to_returns(s))` raises.
-    """
-    return monthly_tests(panel.returns(), panel.start.shift(1), alpha).summaries(panel.currencies)
 
 
 @dataclass(frozen=True, eq=False)

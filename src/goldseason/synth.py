@@ -52,6 +52,8 @@ class GeneratorSpec:
             raise DataError(f"seasonal indices must be finite, got {list(self.indices)}")
         if self.noise_sd < 0.0:
             raise DataError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if self.seed < 0:
+            raise DataError(f"seed must be >= 0, got {self.seed}")
         normalized = SeasonalIndices.from_values(self.model, self.indices).values
         if self.model == MULTIPLICATIVE and min(self.indices) <= 0.0:
             raise DataError("multiplicative indices must be positive")
@@ -71,16 +73,11 @@ def generate_series(spec: GeneratorSpec) -> PriceSeries:
 
     with np.errstate(over="ignore", invalid="ignore"):  # values that are not finite are rejected below
         trend = spec.intercept + spec.slope * t
-        if spec.model == MULTIPLICATIVE:
-            values = trend * season
-            if spec.noise_sd > 0.0:
-                rng = np.random.Generator(np.random.PCG64(spec.seed))
-                values = values * np.exp(rng.normal(0.0, spec.noise_sd, spec.length))
-        else:
-            values = trend + season
-            if spec.noise_sd > 0.0:
-                rng = np.random.Generator(np.random.PCG64(spec.seed))
-                values = values + rng.normal(0.0, spec.noise_sd, spec.length)
+        multiplicative = spec.model == MULTIPLICATIVE
+        values = trend * season if multiplicative else trend + season
+        if spec.noise_sd > 0.0:
+            noise = np.random.Generator(np.random.PCG64(spec.seed)).normal(0.0, spec.noise_sd, spec.length)
+            values = values * np.exp(noise) if multiplicative else values + noise
 
     if not np.isfinite(values).all():
         bad = int(np.argmax(~np.isfinite(values)))

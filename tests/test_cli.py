@@ -82,6 +82,11 @@ class TestSynth:
         assert run_cli(["synth", "--intercept", "100", *flags]) == 2
         assert capsys.readouterr() == ("", f"data error: {message}, after 9999-12, the last month a stamp can name\n")
 
+    def test_negative_seed_is_data_error(self, capsys):
+        argv = ["synth", "--intercept", "100", "--noise-sd", "0.1", "--seed", "-1", "--length", "24"]
+        assert run_cli(argv) == 2
+        assert capsys.readouterr() == ("", "data error: seed must be >= 0, got -1\n")
+
     def test_series_ending_at_9999_12_round_trips(self, capsys):
         assert run_cli(["synth", "--intercept", "100", "--length", "24", "--start", "9998-01"]) == 0
         out = capsys.readouterr().out

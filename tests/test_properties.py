@@ -56,7 +56,7 @@ from goldseason.stats import (
     MonthlyTests,
     _two_sided_p,
     monthly_mean_returns,
-    panel_monthly_mean_returns,
+    monthly_tests,
 )
 
 from conftest import dipping_prices, make_series
@@ -222,17 +222,17 @@ def test_index_one_ulp_above_neutral_is_positive():
        st.data())
 @settings(max_examples=60)
 def test_msd_strictly_positive_after_perturbing_perfect_fit(actual, data):
-    from goldseason.decompose import _error_metrics
+    from goldseason.decompose import _error_rows
 
     a = np.asarray(actual)
     delta = np.zeros_like(a)
     pos = data.draw(st.integers(min_value=0, max_value=a.size - 1))
     bump = data.draw(st.floats(min_value=1e-6, max_value=10.0))
     delta[pos] = bump
-    perfect = _error_metrics(a, a.copy())
-    perturbed = _error_metrics(a, a + delta)
-    assert perfect.msd == 0.0
-    assert perturbed.msd > 0.0
+    _, _, perfect_msd = _error_rows(a, a.copy())
+    _, _, perturbed_msd = _error_rows(a, a + delta)
+    assert perfect_msd == 0.0
+    assert perturbed_msd > 0.0
 
 
 # ------------------------------------------------------------ columnar core
@@ -288,7 +288,7 @@ def test_seasonal_indices_equal_the_decomposition_indices(seed, start, n, model,
 @settings(max_examples=40)
 def test_panel_monthly_tests_equal_series_by_series(seed, start, n, k):
     panel = SeriesPanel("g", start, ("AAA", "BBB", "CCC", "DDD", "EEE")[:k], random_prices(seed, n, k))
-    batched = panel_monthly_mean_returns(panel, 0.1)
+    batched = monthly_tests(panel.returns(), panel.start.shift(1), 0.1).summaries(panel.currencies)
     assert batched == tuple(monthly_mean_returns(to_returns(s), 0.1) for s in panel.series)  # bit for bit
 
 

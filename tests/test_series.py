@@ -74,6 +74,13 @@ class TestConstruction:
         with pytest.raises(DataError, match="duplicate"):
             SeriesPanel("g", MonthStamp(2000, 1), ("USD", "USD"), np.ones((2, 2)))
 
+    @pytest.mark.parametrize("code", ["a,b", "US D", "USD\n", "US"])
+    def test_panel_rejects_a_code_its_csv_cannot_carry(self, code):
+        # render_panel_csv writes the codes into the header, which parse_panel_csv must read back
+        with pytest.raises(DataError) as info:
+            SeriesPanel("g", MonthStamp(2000, 1), ("EUR", code), np.ones((2, 2)))
+        assert str(info.value) == f"currency code must be three letters, got {code!r}"
+
     def test_panel_rejects_span_mismatch(self):
         a = make_series([1.0, 2.0, 3.0])
         b = make_series([1.0, 2.0], currency="EUR")

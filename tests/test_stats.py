@@ -19,7 +19,7 @@ from goldseason import (
 )
 
 from goldseason import stats
-from goldseason.stats import _two_sided_p, panel_monthly_mean_returns
+from goldseason.stats import _two_sided_p, monthly_tests
 
 from conftest import make_returns, make_series
 
@@ -276,13 +276,13 @@ class TestPanelMonthlyMeanReturns:
         prices[2, 1] = 1e-310
         panel = SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB", "CCC"), prices)
         with pytest.raises(NumericError, match="return of BBB at 2000-04"):
-            panel_monthly_mean_returns(panel)
+            monthly_tests(panel.returns(), panel.start.shift(1), 0.05)
         swapped = SeriesPanel("g", panel.start, ("BBB", "AAA", "CCC"), prices[:, [1, 0, 2]])
         with pytest.raises(NumericError, match="return of BBB at 2000-04"):
-            panel_monthly_mean_returns(swapped)
+            monthly_tests(swapped.returns(), swapped.start.shift(1), 0.05)
         constant_later = SeriesPanel("g", panel.start, ("CCC", "AAA"), prices[:, [2, 0]])
         with pytest.raises(NumericError, match="calendar month 5: constant sample"):
-            panel_monthly_mean_returns(constant_later)
+            monthly_tests(constant_later.returns(), constant_later.start.shift(1), 0.05)
 
     def test_analysis_makes_at_most_three_p_value_calls(self, rng, monkeypatch):
         calls = []

@@ -48,6 +48,11 @@ class TestGeneratorSpec:
         with pytest.raises(DataError, match="model"):
             spec_with(model="mult")
 
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.1])
+    def test_negative_seed_rejected_with_or_without_noise(self, noise_sd):
+        with pytest.raises(DataError, match=r"^seed must be >= 0, got -1$"):
+            spec_with(seed=-1, noise_sd=noise_sd)
+
     @pytest.mark.parametrize("field, value", [
         ("intercept", float("nan")), ("intercept", float("inf")), ("slope", float("-inf")),
         ("noise_sd", float("nan")), ("noise_sd", float("inf")), ("indices", (float("nan"),) + (1.0,) * 11),
