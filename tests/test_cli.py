@@ -6,6 +6,7 @@ import pytest
 
 from goldseason import MonthStamp, ReportConfig, SeriesPanel, analyze_panel, parse_panel_csv, render_panel_csv
 from goldseason.cli import run_cli
+from goldseason.synth import GeneratorSpec, generate_series
 from goldseason.report import CORRELATIONS_SECTION, DECOMPOSITION_SECTION, REPORT, RETURNS_SECTION
 
 from conftest import dipping_prices
@@ -50,6 +51,20 @@ class TestSynth:
         assert run_cli(args + ["--out", str(one)]) == 0
         assert run_cli(args + ["--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
+
+    def test_every_flag_reaches_the_spec(self, capsys):
+        indices = tuple(float(i) for i in range(6, -6, -1))
+        assert run_cli(["synth", "--model", "additive", "--intercept", "50", "--slope", "0.25",
+                        "--indices", ",".join(map(str, indices)), "--noise-sd", "0.5", "--length", "30",
+                        "--seed", "9", "--start", "1999-11", "--currency", "XAU"]) == 0
+        spec = GeneratorSpec("additive", 50.0, 0.25, indices, 0.5, 30, 9, MonthStamp(1999, 11), "XAU")
+        expected = render_panel_csv(SeriesPanel.from_series("synthetic", (generate_series(spec),)))
+        assert capsys.readouterr() == (expected, "")
+
+    def test_malformed_start_is_usage_error(self, capsys):
+        assert run_cli(["synth", "--intercept", "100", "--start", "1999/11"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage:") and "error: --start: invalid month stamp '1999/11'" in err
 
     def test_bad_indices_count(self, capsys):
         code = run_cli(["synth", "--intercept", "100", "--indices", "1.0,1.0"])

@@ -18,6 +18,7 @@ from goldseason import (
     fit_trend,
     seasonal_deviation_percent,
     seasonal_indices,
+    to_returns,
 )
 
 from conftest import make_series, make_stamps
@@ -267,6 +268,10 @@ class TestDecompose:
         series = make_series(rng.uniform(100, 120, 60))
         result = decompose(series)
         assert len(result.fitted) == 60
+
+    def test_accepts_return_series(self, rng):
+        returns = to_returns(make_series(rng.uniform(100, 120, 60)))
+        assert decompose(returns, model=ADDITIVE) == decompose(returns.values(), returns.start, ADDITIVE)
 
     def test_plain_values_require_stamps(self, rng):
         with pytest.raises(DataError, match="start month"):

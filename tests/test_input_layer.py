@@ -85,6 +85,8 @@ def mutate(rows: list[list[str]], kind: str, at: int, extra) -> None:
 @example(start=24000, n=5, k=2, edits=[("malformed", 2, "2000/01"), ("price", 2, "x")], trailer="", bom=False)
 @example(start=24000, n=5, k=2, edits=[("cells", 2, -1), ("price", 2, "x")], trailer="", bom=False)  # short and bad
 @example(start=24000, n=5, k=2, edits=[("price", 2, "1_000")], trailer="", bom=False)  # only float() reads it
+@example(start=0, n=1, k=2, edits=[("cells", 0, 1)], trailer="", bom=False)  # every row has an extra cell
+@example(start=24000, n=5, k=2, edits=[("price", 2, "")], trailer="", bom=False)  # an empty last cell mid-file
 @settings(max_examples=400, deadline=None)
 def test_parser_matches_the_row_by_row_reference(start, n, k, edits, trailer, bom):
     first = MonthStamp.from_index(start)

@@ -235,6 +235,21 @@ def test_msd_strictly_positive_after_perturbing_perfect_fit(actual, data):
     assert perturbed_msd > 0.0
 
 
+ERROR_SPECIALS = [0.0, 5e-324, -5e-324, 1.7e308, -1.7e308, 1e155, -1e155, math.inf, -math.inf, math.nan]
+
+
+@given(st.lists(st.tuples(*[st.one_of(st.sampled_from(ERROR_SPECIALS), st.floats())] * 2), min_size=1, max_size=6))
+@example([(1.7e308, -1.7e308)])  # the error overflows, and so does its square
+@example([(math.inf, 1.0), (1.0, 1.0)])
+@settings(max_examples=300)
+def test_mad_is_undefined_only_where_msd_is(pairs):
+    from goldseason.decompose import _error_rows
+
+    actual, fitted = np.array(pairs).T
+    _, mad, msd = _error_rows(actual, fitted)
+    assert not np.isnan(mad) or np.isnan(msd)
+
+
 # ------------------------------------------------------------ columnar core
 
 month_strategy = st.builds(MonthStamp, st.integers(min_value=1950, max_value=2050),

@@ -5,6 +5,7 @@ from goldseason import (
     DataError,
     MonthStamp,
     NumericError,
+    ReturnSeries,
     SeriesPanel,
     align_panel,
     cumulative_growth,
@@ -107,6 +108,26 @@ class TestConstruction:
         values[0] = 9.0
         assert series.prices().tolist() == [1.0, 2.0]
         assert series.end == MonthStamp(2000, 2)
+
+
+class TestEquality:
+    def test_price_and_return_series_with_the_same_fields_differ(self):
+        prices = make_series([1.0, 2.0, 3.0])
+        returns = ReturnSeries(prices.currency, prices.start, prices.prices())
+        assert prices != returns and returns != prices
+        assert prices == make_series([1.0, 2.0, 3.0])
+
+    def test_panel_equals_only_a_panel(self):
+        panel = SeriesPanel.from_series("g", (make_series([1.0, 2.0]),))
+        assert (panel == "x") is False
+        assert panel != panel.series[0]
+        assert panel == SeriesPanel.from_series("g", (make_series([1.0, 2.0]),))
+
+    def test_array_records_are_unhashable(self):
+        series = make_series([1.0, 2.0])
+        for record in (series, SeriesPanel.from_series("g", (series,))):
+            with pytest.raises(TypeError, match="unhashable"):
+                hash(record)
 
 
 class TestParsePanelCsv:
