@@ -131,12 +131,17 @@ _SECTIONS = {
     "decompose": (DECOMPOSITION_SECTION,),
     "report": REPORT,
 }
-_CONFIG_FIELDS = {field.name for field in dataclasses.fields(ReportConfig)}
+
+
+def _from_flags(cls, args, **converted):
+    """A `cls` dataclass from the flags named like its fields, those in `converted` replaced by their values."""
+    names = {field.name for field in dataclasses.fields(cls)}
+    return cls(**{key: value for key, value in vars(args).items() if key in names} | converted)
 
 
 def _cmd_analyze(args) -> Iterable[str]:
     panel = _load_panel(args)
-    config = ReportConfig(**{key: value for key, value in vars(args).items() if key in _CONFIG_FIELDS})
+    config = _from_flags(ReportConfig, args)
     analysis = analyze_panel(panel, config, _SECTIONS[args.command])
     if getattr(args, "charts", None):
         emit_chart_data(panel.group, dict(analysis.decompositions), args.charts)
@@ -154,19 +159,8 @@ def _cmd_synth(args) -> Iterable[str]:
             indices = tuple(float(p) for p in parts)
         except ValueError as exc:
             raise UsageError(f"--indices: {exc}") from None
-    spec = GeneratorSpec(
-        model=args.model,
-        intercept=args.intercept,
-        slope=args.slope,
-        indices=indices,
-        noise_sd=args.noise_sd,
-        length=args.length,
-        seed=args.seed,
-        start=_parse_stamp_flag(args.start, "--start"),
-        currency=args.currency,
-    )
-    series = generate_series(spec)
-    return [render_panel_csv(SeriesPanel.from_series("synthetic", (series,)))]
+    spec = _from_flags(GeneratorSpec, args, indices=indices, start=_parse_stamp_flag(args.start, "--start"))
+    return [render_panel_csv(SeriesPanel.from_series("synthetic", (generate_series(spec),)))]
 
 
 _COMMANDS = {**{command: _cmd_analyze for command in _SECTIONS}, "synth": _cmd_synth}

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only
+from .series import MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only, _records_equal
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -74,6 +74,8 @@ class SeasonalIndices:
     def __post_init__(self) -> None:
         _check_model(self.model)
         _check_twelve(self.values)
+        if not all(map(math.isfinite, self.values)):
+            raise DataError(f"seasonal indices must be finite, got {list(self.values)}")
         _check_normalized(self.model, [self.values])
 
     @classmethod
@@ -149,16 +151,7 @@ class DecompositionResult:
         for name in ("fitted", "irregular"):
             object.__setattr__(self, name, _read_only(getattr(self, name), 1, name))
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and (self.model, self.indices, self.trend, self.accuracy)
-            == (other.model, other.indices, other.trend, other.accuracy)
-            and np.array_equal(self.fitted, other.fitted)
-            and np.array_equal(self.irregular, other.irregular)
-        )
-
-    __hash__ = None  # arrays are not hashable, so neither is a result
+    __eq__ = _records_equal
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,6 +169,10 @@ class PanelDecomposition:
     accuracy: np.ndarray
     fitted: np.ndarray
     irregular: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("indices", "trend", "accuracy", "fitted", "irregular"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), 2, name))
 
     @property
     def results(self) -> tuple[DecompositionResult, ...]:
@@ -338,10 +335,8 @@ def accuracy_metrics(actual: Sequence[float], fitted: Sequence[float]) -> Accura
     metrics = AccuracyMetrics(*map(float, _error_rows(a, f)))
     if math.isnan(metrics.mape):
         raise NumericError("zero actual value or overflow: MAPE undefined")
-    if math.isnan(metrics.msd):
+    if math.isnan(metrics.msd):  # MAD is undefined only where an error is not finite, and then so is MSD
         raise NumericError("squared errors overflow: MSD undefined")
-    if math.isnan(metrics.mad):
-        raise NumericError("errors overflow: MAD undefined")
     return metrics
 
 
@@ -430,12 +425,8 @@ def _deviation_percent(model: str, indices: np.ndarray) -> np.ndarray:
     return (indices - 1.0) * 100.0 if model == MULTIPLICATIVE else indices
 
 
-def _coerce(
-    data: PriceSeries | ReturnSeries | Sequence[float],
-    start: MonthStamp | None,
-) -> tuple[np.ndarray, MonthStamp | None]:
-    if isinstance(data, PriceSeries):
-        return data.prices(), data.start
-    if isinstance(data, ReturnSeries):
-        return data.values(), data.start
+def _coerce(data: PriceSeries | ReturnSeries | Sequence[float],
+            start: MonthStamp | None) -> tuple[np.ndarray, MonthStamp | None]:
+    if isinstance(data, (PriceSeries, ReturnSeries)):
+        return data.data, data.start
     return np.asarray(data, dtype=float), start

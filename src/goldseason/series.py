@@ -20,7 +20,7 @@ thousands separators, no blank cells. Blank lines may only trail the data.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -80,15 +80,23 @@ def _check_currency(code: str) -> None:
         raise DataError(f"currency code must be three letters, got {code!r}")
 
 
-def _read_only(values, ndim: int, label: str) -> np.ndarray:
-    """A float64 array nothing can write through: read-only input is shared, anything else copied."""
-    array = np.asarray(values, dtype=float)
+def _read_only(values, ndim: int, label: str, dtype=float) -> np.ndarray:
+    """An array of `dtype` nothing can write through: read-only input is shared, anything else copied."""
+    array = np.asarray(values, dtype=dtype)
     if array.ndim != ndim:
         raise DataError(f"{label} must be a {ndim}-D array, got shape {array.shape}")
     if array.flags.writeable:
         array = array.copy()
         array.flags.writeable = False
     return array
+
+
+def _records_equal(self, other) -> bool:
+    """`==` of records holding arrays, which are then unhashable: one type, equal fields, arrays by `np.array_equal`."""
+    return type(other) is type(self) and all(
+        np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+        for mine, theirs in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,12 +114,7 @@ class _MonthlyColumn:
             raise DataError(f"series {self.currency} has no observations")
         object.__setattr__(self, "data", data)
 
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and (self.currency, self.start) == (other.currency, other.start)
-            and np.array_equal(self.data, other.data)
-        )
+    __eq__ = _records_equal
 
     def __len__(self) -> int:
         return self.data.size
@@ -183,12 +186,7 @@ class SeriesPanel:
         prices = np.column_stack([s.prices() for s in series])
         return cls(group, first.start, tuple(s.currency for s in series), prices)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SeriesPanel)
-            and (self.group, self.start, self.currencies) == (other.group, other.start, other.currencies)
-            and np.array_equal(self.prices, other.prices)
-        )
+    __eq__ = _records_equal
 
     def __len__(self) -> int:
         return len(self.currencies)
@@ -257,9 +255,9 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     stamps, _, rows = zip(*[line.partition(",") for line in body])  # each line split once: its stamp, its cells
     n, k = len(body), len(codes)
     start = MonthStamp.parse(stamps[0]) if body[0].count(",") == k else None  # a bad first stamp raises as below
-    # the whole stamp column against the texts of the months that follow the first, in one comparison, and the cell
-    # count of every line; then numpy's C reader takes the cells, unless a line is blank, which it would skip
-    fast = start is not None and list(stamps) == _stamp_texts(start, n) and {line.count(",") for line in body} == {k}
+    # the whole stamp column against the texts of the months that follow the first, in one comparison; then numpy's C
+    # reader takes the cells, unless a line is blank, which it would skip, and raises on a line with another cell count
+    fast = start is not None and list(stamps) == _stamp_texts(start, n)
     try:
         prices = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if fast and all(map(str.strip, rows)) else None
     except ValueError:
@@ -355,8 +353,7 @@ def align_panel(series: list[PriceSeries] | tuple[PriceSeries, ...], group: str 
         raise DataError("series spans do not overlap")
     if overlap < 2:
         raise DataError(f"overlapping span {start}..{end} is shorter than 2 months")
-    prices = np.column_stack([s.prices()[start.index() - s.start.index():][:overlap] for s in series])
-    return SeriesPanel(group, start, tuple(s.currency for s in series), prices)
+    return SeriesPanel.from_series(group, [slice_span(s, start, end) for s in series])
 
 
 def cumulative_growth(series: PriceSeries) -> float:

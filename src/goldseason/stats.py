@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, ReturnSeries, SeriesPanel
+from .series import MonthStamp, ReturnSeries, SeriesPanel, _read_only
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -76,7 +76,6 @@ _CF_TOLERANCE = 1e-13  # a step that moves the continued fraction by less than t
 _CF_STEPS = 1024  # steps an element may take before it counts as not converging
 _CF_CHUNK = 32  # steps whose coefficients are gathered in one go
 _CF_CHECK = 4  # steps between convergence checks
-_CF_COMPACT = 512  # working arrays at least this long drop their stopped elements
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(1/2)
 
 
@@ -121,7 +120,7 @@ def _continued_fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, z: np.nd
     c, e = value, np.full_like(z, np.inf)  # E = 1/D, and D = 0 before the first step
     result = np.empty_like(z)
     index = np.arange(z.size)
-    live = np.ones(z.size, dtype=bool)  # stopped elements step on until the arrays are compacted
+    live = np.ones(z.size, dtype=bool)  # stopped elements step on until the arrays drop them
     for first in range(1, _CF_STEPS + 1, _CF_CHUNK):
         numerator, slope = _fraction_coefficients(a, b, first)
         numerator = numerator[:, pair] * z2
@@ -141,7 +140,7 @@ def _continued_fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, z: np.nd
             remaining = np.count_nonzero(live)
             if not remaining:
                 return result
-            if live.size >= _CF_COMPACT and 2 * remaining <= live.size:
+            if 2 * remaining <= live.size:
                 numerator, denominator = numerator[:, live], denominator[:, live]
                 pair, z, z2, c, e, value, index, live = (v[live] for v in (pair, z, z2, c, e, value, index, live))
     raise NumericError(f"t-test p-value did not converge in {_CF_STEPS} steps")
@@ -305,6 +304,11 @@ class MonthlyTests:
     t_stats: np.ndarray
     p_values: np.ndarray
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "counts", _read_only(self.counts, 1, "counts", int))
+        for name in ("means", "t_stats", "p_values"):
+            object.__setattr__(self, name, _read_only(getattr(self, name), 2, name))
+
     def summaries(self, currencies: Sequence[str]) -> tuple[MonthlyReturnSummary, ...]:
         """One `MonthlyReturnSummary` per column, labelled with `currencies`."""
         sizes = self.counts.tolist()
@@ -375,12 +379,9 @@ class CorrelationMatrix:
     def __post_init__(self) -> None:
         k = len(self.labels)
         for name, dtype in (("values", float), ("p_values", float), ("significant", bool)):
-            array = np.asarray(getattr(self, name), dtype=dtype)
+            array = _read_only(getattr(self, name), 2, f"correlation {name}", dtype)
             if array.shape != (k, k):
                 raise DataError(f"correlation {name} is not a {k} x {k} matrix")
-            if array.flags.writeable:  # read-only input is shared, anything else copied
-                array = array.copy()
-                array.flags.writeable = False
             object.__setattr__(self, name, array)
 
     def value(self, a: str, b: str) -> float:

@@ -71,6 +71,15 @@ class TestSynth:
         assert code == 1
         assert "12" in capsys.readouterr().err
 
+    def test_non_numeric_indices_is_usage_error(self, capsys):
+        assert run_cli(["synth", "--intercept", "100", "--indices", ",".join(["x"] * 12)]) == 1
+        assert "error: --indices: could not convert string to float: 'x'" in capsys.readouterr().err
+
+    def test_out_into_a_missing_directory_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "syn.csv"
+        assert run_cli(["synth", "--intercept", "100", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: '{out}'\n")
+
     def test_stdout_when_no_out_flag(self, capsys):
         assert run_cli(["synth", "--intercept", "50", "--length", "24"]) == 0
         out = capsys.readouterr().out

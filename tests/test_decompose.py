@@ -152,6 +152,17 @@ class TestSeasonalIndices:
             with pytest.raises(DataError, match="12 seasonal"):
                 SeasonalIndices.from_values(ADDITIVE, [0.0] * n)
 
+    def test_multiplicative_mean_must_be_positive(self):
+        with pytest.raises(DataError, match="must have a positive mean"):
+            SeasonalIndices.from_values(MULTIPLICATIVE, [-1.0] * 12)
+
+    @pytest.mark.parametrize("model, special", [(ADDITIVE, math.nan), (MULTIPLICATIVE, math.nan), (ADDITIVE, math.inf)])
+    def test_non_finite_index_rejected(self, model, special):
+        with pytest.raises(DataError, match="seasonal indices must be finite"):
+            SeasonalIndices(model, (special,) * 12)
+        with pytest.raises(DataError, match="seasonal indices must be finite"):
+            SeasonalIndices.from_values(model, (special,) + (1.0,) * 11)
+
     def test_unnormalized_construction_rejected(self):
         with pytest.raises(DataError, match="average 1"):
             SeasonalIndices(MULTIPLICATIVE, (1.1,) * 12)
@@ -179,6 +190,14 @@ class TestFitTrend:
     def test_too_short(self):
         with pytest.raises(DataError):
             fit_trend([1.0])
+
+    def test_coefficient_past_the_largest_double_is_numeric_error(self):
+        ramp = [1.7e308 * (2 * i / 23 - 1) for i in range(24)]  # its line is -1.85e308 at t = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fit in (lambda: fit_trend(ramp), lambda: decompose(ramp, MonthStamp(2000, 1), ADDITIVE)):
+                with pytest.raises(NumericError, match="^trend coefficients must be finite$"):
+                    fit()
 
     def test_value_at(self):
         trend = fit_trend([1.0, 2.0, 3.0])
@@ -317,6 +336,13 @@ class TestDecompose:
             warnings.simplefilter("error")
             with pytest.raises(NumericError, match=re.escape(message)):
                 decompose(values, MonthStamp(2000, 7), aggregator=aggregator)
+
+    @pytest.mark.parametrize("model", [ADDITIVE, MULTIPLICATIVE])
+    def test_infinite_value_is_numeric_error(self, model):
+        values = [1.0 + (i % 12) / 10 for i in range(48)]
+        values[20] = math.inf
+        with pytest.raises(NumericError, match="deseasonalized value at .* is not finite"):
+            decompose(values, MonthStamp(2000, 1), model)
 
     def test_fitted_value_past_the_largest_double_is_numeric_error(self):
         values = np.ldexp(np.minimum(np.linspace(1.0, 2.3, 48), 1.9), 1023)  # a trend that ends above 2^1024

@@ -204,6 +204,24 @@ class TestAnalyzePanel:
         doc = render_report(SeriesPanel.from_series("solo", (series,)), ReportConfig())
         assert "Correlation" not in doc
 
+    def test_every_array_is_read_only(self):
+        analysis = analyze_panel(two_currency_panel(), ReportConfig())
+        summaries = analysis.summaries
+        monthly, decomposition = analysis.monthly, analysis.decomposition
+        for array in (monthly.means, monthly.counts, monthly.t_stats, monthly.p_values, decomposition.indices,
+                      decomposition.trend, decomposition.accuracy, decomposition.fitted, decomposition.irregular):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            monthly.means[0, 0] = 99.0
+        with pytest.raises(ValueError, match="read-only"):
+            decomposition.indices[0, 0] = 99.0
+        assert analysis.summaries == summaries
+
+    @pytest.mark.parametrize("sections", [(), ("returns", "charts")])
+    def test_sections_must_be_a_known_nonempty_subset(self, sections):
+        with pytest.raises(DataError, match="sections must be a non-empty subset"):
+            analyze_panel(two_currency_panel(), ReportConfig(), sections)
+
     def test_signs_respect_quorum_config(self):
         panel = two_currency_panel()
         strict = analyze_panel(panel, ReportConfig(quorum=2))

@@ -68,6 +68,14 @@ class TestConstruction:
         with pytest.raises(DataError, match="2000-02"):
             parse_panel_csv("date,USD\n2000-01,1.0\n2000-03,1.0\n")
 
+    def test_series_and_panel_need_data(self):
+        with pytest.raises(DataError, match="series USD has no observations"):
+            make_series([])
+        with pytest.raises(DataError, match="panel 'g' has no series"):
+            SeriesPanel("g", MonthStamp(2000, 1), (), np.ones((2, 0)))
+        with pytest.raises(DataError, match="panel 'g' has no series"):
+            SeriesPanel.from_series("g", [])
+
     def test_panel_rejects_duplicate_codes(self):
         a = make_series([1.0, 2.0])
         with pytest.raises(DataError, match="duplicate"):

@@ -6,6 +6,8 @@ from scipy.integrate import quad
 
 from goldseason import (
     DataError,
+    MeanReturnStat,
+    MonthlyReturnSummary,
     MonthStamp,
     NumericError,
     ReportConfig,
@@ -19,7 +21,7 @@ from goldseason import (
 )
 
 from goldseason import stats
-from goldseason.stats import _two_sided_p, monthly_tests
+from goldseason.stats import CorrelationMatrix, _two_sided_p, monthly_tests
 
 from conftest import make_returns, make_series
 
@@ -210,6 +212,18 @@ class TestCorrelationSignificance:
         assert str(single.value) == str(matrix.value)
 
 
+class TestMonthlyReturnSummary:
+    def test_needs_twelve_months(self):
+        record = MeanReturnStat(0.01, 2, 1.0, 0.5, False)
+        with pytest.raises(DataError, match="per_month must have 12 records, got 11"):
+            MonthlyReturnSummary("USD", 0.05, (record,) * 11, MeanReturnStat(0.01, 22, 1.0, 0.5, False))
+
+    def test_counts_must_sum(self):
+        record = MeanReturnStat(0.01, 2, 1.0, 0.5, False)
+        with pytest.raises(DataError, match="per-month counts do not sum to the overall count"):
+            MonthlyReturnSummary("USD", 0.05, (record,) * 12, MeanReturnStat(0.01, 25, 1.0, 0.5, False))
+
+
 class TestMonthlyMeanReturns:
     def test_year_alternating_signs_mean_zero(self):
         # +1% every month of even years, -1% in odd years: every bucket
@@ -349,6 +363,14 @@ class TestCorrelationMatrix:
         panel = SeriesPanel.from_series("g", (make_series([1.0, 2.0, 3.0]),))
         with pytest.raises(DataError, match="at least 2"):
             correlation_matrix(panel)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.eye(3), "correlation values is not a 2 x 2 matrix"),
+        (np.ones(2), r"correlation values must be a 2-D array, got shape \(2,\)"),
+    ])
+    def test_construction_checks_the_shape(self, values, message):
+        with pytest.raises(DataError, match=message):
+            CorrelationMatrix(("AAA", "BBB"), values, np.zeros((2, 2)), np.zeros((2, 2), bool), 3, "prices", 0.05)
 
     def test_invalid_basis(self, rng):
         with pytest.raises(DataError, match="basis"):
