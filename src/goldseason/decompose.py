@@ -25,11 +25,11 @@ only reduces the per-month bucket sizes.
 
 MAPE is reported in percent. It is undefined when any actual value is
 zero or so small that the percentage errors overflow, MSD when the
-squared errors overflow, and MAD when an error does; `decompose` then
-stores NaN, `accuracy_metrics` raises. A deseasonalized or fitted value
-that is not finite, which values near the largest double or seasonal
-indices near zero can give, makes `decompose` raise NumericError naming
-the month and the values it came from.
+squared errors overflow, and MAD when an error does, which makes MSD
+undefined too; `decompose` then stores NaN, `accuracy_metrics` raises. A
+deseasonalized or fitted value that is not finite, which values near the
+largest double or seasonal indices near zero can give, makes `decompose`
+raise NumericError naming the month and the values it came from.
 """
 
 from __future__ import annotations
@@ -156,11 +156,11 @@ class DecompositionResult:
 
 @dataclass(frozen=True, eq=False)
 class PanelDecomposition:
-    """Every column of a panel decomposed in one pass, as arrays with one column per series.
+    """Every column of a panel decomposed in one pass, as read-only arrays with one column per series.
 
     `indices` is (12, k), `trend` (2, k): intercepts, slopes, and `accuracy`
     (3, k): MAPE, MAD, MSD, NaN where undefined; `fitted` and `irregular` are
-    read-only (months x columns). `results` builds the per-column records.
+    (months x columns). `results` builds the per-column records.
     """
 
     model: str
@@ -425,8 +425,10 @@ def _deviation_percent(model: str, indices: np.ndarray) -> np.ndarray:
     return (indices - 1.0) * 100.0 if model == MULTIPLICATIVE else indices
 
 
-def _coerce(data: PriceSeries | ReturnSeries | Sequence[float],
-            start: MonthStamp | None) -> tuple[np.ndarray, MonthStamp | None]:
+def _coerce(
+    data: PriceSeries | ReturnSeries | Sequence[float],
+    start: MonthStamp | None,
+) -> tuple[np.ndarray, MonthStamp | None]:
     if isinstance(data, (PriceSeries, ReturnSeries)):
         return data.data, data.start
     return np.asarray(data, dtype=float), start

@@ -348,10 +348,9 @@ def align_panel(series: list[PriceSeries] | tuple[PriceSeries, ...], group: str 
         raise DataError("align_panel needs at least one series")
     start = max(s.start for s in series)
     end = min(s.end for s in series)
-    overlap = end.index() - start.index() + 1
-    if overlap <= 0:
+    if start > end:
         raise DataError("series spans do not overlap")
-    if overlap < 2:
+    if start == end:
         raise DataError(f"overlapping span {start}..{end} is shorter than 2 months")
     return SeriesPanel.from_series(group, [slice_span(s, start, end) for s in series])
 

@@ -295,7 +295,7 @@ def correlation_significance(r: float, n: int, alpha: float = 0.05) -> Correlati
 class MonthlyTests:
     """t-tests of the mean returns of k columns as (13, k) arrays: row m - 1 is calendar month m, row 12 all months.
 
-    `counts` holds the 13 observation counts every column shares.
+    `counts` holds the 13 observation counts every column shares. Every array is read-only.
     """
 
     alpha: float
