@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Iterable
 
-from .decompose import ADDITIVE, MEAN, MEDIAN, MULTIPLICATIVE
+from .decompose import ADDITIVE, MEAN, MEDIAN, MULTIPLICATIVE, _deviation_percent
 from .errors import DataError, GoldseasonError, NumericError
 from .report import (
     CORRELATIONS_SECTION,
@@ -29,8 +29,8 @@ from .report import (
     REPORT,
     RETURNS_SECTION,
     ReportConfig,
+    _write_chart,
     analyze_panel,
-    emit_chart_data,
     json_pieces,
     render_markdown,
 )
@@ -80,8 +80,8 @@ def _build_parser() -> _Parser:
     synth.add_argument("--model", choices=[ADDITIVE, MULTIPLICATIVE], default=MULTIPLICATIVE)
     synth.add_argument("--intercept", type=float, required=True, help="trend value at t=1 (minus one slope)")
     synth.add_argument("--slope", type=float, default=0.0, help="trend slope per month")
-    synth.add_argument("--indices", default=None,
-                       help="12 comma-separated seasonal indices (default: flat)")
+    synth.add_argument("--indices", default=",".join(["1"] * 12),
+                       help="12 comma-separated seasonal indices (default: twelve 1s, flat)")
     synth.add_argument("--noise-sd", type=float, default=0.0, dest="noise_sd")
     synth.add_argument("--length", type=int, default=240)
     synth.add_argument("--seed", type=int, default=0)
@@ -144,21 +144,19 @@ def _cmd_analyze(args) -> Iterable[str]:
     config = _from_flags(ReportConfig, args)
     analysis = analyze_panel(panel, config, _SECTIONS[args.command])
     if getattr(args, "charts", None):
-        emit_chart_data(panel.group, dict(analysis.decompositions), args.charts)
+        deviations = _deviation_percent(config.model, analysis.decomposition.indices)
+        _write_chart(panel.group, panel.currencies, deviations, args.charts)
     return json_pieces(analysis) if config.fmt == FORMAT_JSON else [render_markdown(analysis)]
 
 
 def _cmd_synth(args) -> Iterable[str]:
-    if args.indices is None:
-        indices = (1.0,) * 12 if args.model == MULTIPLICATIVE else (0.0,) * 12
-    else:
-        parts = args.indices.split(",")
-        if len(parts) != 12:
-            raise UsageError(f"--indices needs 12 comma-separated values, got {len(parts)}")
-        try:
-            indices = tuple(float(p) for p in parts)
-        except ValueError as exc:
-            raise UsageError(f"--indices: {exc}") from None
+    parts = args.indices.split(",")
+    if len(parts) != 12:
+        raise UsageError(f"--indices needs 12 comma-separated values, got {len(parts)}")
+    try:
+        indices = tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise UsageError(f"--indices: {exc}") from None
     spec = _from_flags(GeneratorSpec, args, indices=indices, start=_parse_stamp_flag(args.start, "--start"))
     return [render_panel_csv(SeriesPanel.from_series("synthetic", (generate_series(spec),)))]
 

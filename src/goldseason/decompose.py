@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only, _records_equal
+from .series import MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only, _records_equal, _require_finite
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -207,6 +207,7 @@ def centered_ma(values: Sequence[float]) -> np.ndarray:
     the result is NaN for the first and last 6 positions.
     """
     x = np.asarray(values, dtype=float)
+    _require_finite(x, "moving-average input")
     if x.size < 13:
         raise DataError(f"series too short for centered MA: {x.size} < 13")
     out = np.full(x.size, np.nan)
@@ -260,25 +261,12 @@ def seasonal_indices(
     model: str = MULTIPLICATIVE,
     aggregator: str = MEDIAN,
 ) -> SeasonalIndices:
-    """Estimate normalized seasonal indices from ratios (or differences) to the centered MA.
+    """Normalized seasonal indices from ratios (or differences) to the centered MA; `start` is the first value's stamp.
 
-    `start` is the stamp of the first value. Requires at least two full
-    years, so the MA covers every calendar month. Multiplicative
-    estimation demands strictly positive values.
+    They are `decompose(values, start, model, aggregator).indices`, so they
+    cost a full decomposition and raise whatever it raises.
     """
-    with np.errstate(all="ignore"):  # each stage's faults are raised before the next stage is used
-        indices = _index_rows(np.asarray(values, dtype=float)[None, :], start, model, aggregator)
-    return SeasonalIndices(model, tuple(indices[0].tolist()))
-
-
-def _index_rows(x: np.ndarray, start: MonthStamp | None, model: str, aggregator: str) -> np.ndarray:
-    """Normalized indices, (k, 12), of the rows of a (k, n) matrix from `start`; the first faulty stage raises."""
-    raw = _raw_seasonals(x, start, model, aggregator)
-    if model == MULTIPLICATIVE:
-        _check_positive(x, start)
-    indices = _normalize(model, raw)
-    _check_normalized(model, indices.tolist())
-    return indices
+    return decompose(np.asarray(values, dtype=float), start, model, aggregator).indices
 
 
 def _fit_trend_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,6 +288,7 @@ def _fit_trend_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def fit_trend(values: Sequence[float]) -> TrendLine:
     """Ordinary least squares of the values on t = 1..N."""
     y = np.asarray(values, dtype=float)
+    _require_finite(y, "trend input")
     if y.size < 2:
         raise DataError(f"trend fit needs at least 2 observations, got {y.size}")
     intercept, slope = _fit_trend_rows(y[None, :])
@@ -351,7 +340,11 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
     x = np.ascontiguousarray(np.asarray(data, dtype=float).T)
     n = x.shape[1]
     with np.errstate(all="ignore"):  # each stage's faults are raised before the next stage is used
-        indices = _index_rows(x, start, model, aggregator)
+        raw = _raw_seasonals(x, start, model, aggregator)
+        if model == MULTIPLICATIVE:
+            _check_positive(x, start)
+        indices = _normalize(model, raw)
+        _check_normalized(model, indices.tolist())
         slots = start.calendar_slots(n)
         per_point = np.broadcast_to(indices[:, None, :], indices.shape[:1] + slots.shape)[:, slots]
         deseasonalized = x / per_point if model == MULTIPLICATIVE else x - per_point

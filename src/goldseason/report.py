@@ -85,15 +85,19 @@ def classify_month_signs(
     models = {ind.model for ind in items}
     if len(models) != 1:
         raise DataError(f"mixed decomposition models: {sorted(models)}")
-    n = len(items)
+    return _month_signs(items[0].model, np.array([ind.values for ind in items]).T, quorum)
+
+
+def _month_signs(model: str, indices: np.ndarray, quorum: int | None) -> tuple[str, ...]:
+    """`classify_month_signs` of a (12, k) array of one model's indices, one column per currency."""
+    n = indices.shape[1]
     if quorum is None:
         quorum = n
     if not 1 <= quorum <= n:
         raise DataError(f"quorum must be in 1..{n}, got {quorum}")
-    values = np.array([ind.values for ind in items])  # currencies x months
-    neutral = 1.0 if items[0].model == MULTIPLICATIVE else 0.0
-    above = (values > neutral).sum(axis=0) >= quorum
-    below = (values < neutral).sum(axis=0) >= quorum
+    neutral = 1.0 if model == MULTIPLICATIVE else 0.0
+    above = (indices > neutral).sum(axis=1) >= quorum
+    below = (indices < neutral).sum(axis=1) >= quorum
     return tuple(np.where(above, SIGN_POSITIVE, np.where(below, SIGN_NEGATIVE, SIGN_NEUTRAL)).tolist())
 
 
@@ -145,9 +149,7 @@ def analyze_panel(panel: SeriesPanel, config: ReportConfig, sections: Sequence[s
     signs = ()
     if DECOMPOSITION_SECTION in sections:
         decomposition = decompose(panel, model=config.model, aggregator=config.aggregator)
-        indices = {code: SeasonalIndices(config.model, tuple(values))
-                   for code, values in zip(panel.currencies, decomposition.indices.T.tolist())}
-        signs = classify_month_signs(indices, config.quorum)
+        signs = _month_signs(config.model, decomposition.indices, config.quorum)
     return PanelAnalysis(
         group=panel.group, span=(panel.start, panel.end), currencies=panel.currencies, sections=sections,
         alpha=config.alpha, model=config.model, aggregator=config.aggregator, monthly=monthly,
@@ -370,14 +372,19 @@ def emit_chart_data(
     """
     if not results:
         raise DataError("chart data needs at least one decomposition result")
+    deviations = np.array([seasonal_deviation_percent(result.indices) for result in results.values()]).T
+    return _write_chart(group, list(results), deviations, directory)
+
+
+def _write_chart(group: str, codes: Sequence[str], deviations: np.ndarray, directory: Path | str) -> Path:
+    """`emit_chart_data` of a (12, k) array of percent deviations, one column per code."""
     name = f"{group}_seasonal_deviation.csv"
     if Path(name).name != name:
         raise DataError(f"group {group!r} cannot name a chart file: it must be a single file-name component")
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    lines = ["month," + ",".join(results)]
-    deviations = zip(*(seasonal_deviation_percent(result.indices) for result in results.values()))
-    for month, row in enumerate(deviations, start=1):
+    lines = ["month," + ",".join(codes)]
+    for month, row in enumerate(deviations.tolist(), start=1):
         lines.append(f"{month}," + ",".join(f"{value:.4f}" for value in row))
     path = directory / name
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -91,6 +91,11 @@ def _read_only(values, ndim: int, label: str, dtype=float) -> np.ndarray:
     return array
 
 
+def _require_finite(values: np.ndarray, what: str) -> None:
+    if not np.isfinite(values).all():
+        raise DataError(f"{what} holds a non-finite value")
+
+
 def _records_equal(self, other) -> bool:
     """`==` of records holding arrays, which are then unhashable: one type, equal fields, arrays by `np.array_equal`."""
     return type(other) is type(self) and all(
@@ -184,6 +189,7 @@ class SeriesPanel:
                     f"expected {first.start}..{first.end}"
                 )
         prices = np.column_stack([s.prices() for s in series])
+        prices.flags.writeable = False  # the panel shares it
         return cls(group, first.start, tuple(s.currency for s in series), prices)
 
     __eq__ = _records_equal
@@ -356,8 +362,12 @@ def align_panel(series: list[PriceSeries] | tuple[PriceSeries, ...], group: str 
 
 
 def cumulative_growth(series: PriceSeries) -> float:
-    """Last price divided by first price."""
+    """Last price divided by first price; a ratio that is not finite raises NumericError naming the currency."""
     if len(series) < 2:
         raise DataError(f"series {series.currency} has {len(series)} point(s); need at least 2")
-    prices = series.prices()
-    return float(prices[-1] / prices[0])
+    first, last = series.prices()[[0, -1]]
+    with np.errstate(all="ignore"):  # a ratio that is not finite is rejected below
+        growth = float(last / first)
+    if not np.isfinite(growth):
+        raise NumericError(f"growth of {series.currency} is not finite: price {float(last)!r} over {float(first)!r}")
+    return growth

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, ReturnSeries, SeriesPanel, _read_only
+from .series import MonthStamp, ReturnSeries, SeriesPanel, _read_only, _require_finite
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -215,11 +215,6 @@ def _check_alpha(alpha: float) -> None:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    if not np.isfinite(values).all():
-        raise DataError(f"{what} holds a non-finite value")
-
-
 def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
     """Two-sided one-sample Student t-test of the mean against mu0.
 
@@ -228,7 +223,7 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
     zero variance ("constant sample").
     """
     x = np.asarray(sample, dtype=float) - mu0
-    _check_finite(x, "t-test sample")
+    _require_finite(x, "t-test sample")
     if x.size < 2:
         raise NumericError(f"t-test needs at least 2 observations, got {x.size}")
     t_stat = _mean_ttests(x[None, :, None], np.ones((x.size, 1), dtype=bool))[2][0, 0]
@@ -274,7 +269,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     ay = np.asarray(y, dtype=float)
     if ax.size != ay.size:
         raise DataError(f"length mismatch: {ax.size} vs {ay.size}")
-    _check_finite(np.concatenate((ax, ay)), "correlation input")
+    _require_finite(np.concatenate((ax, ay)), "correlation input")
     return float(_pearson_r(np.column_stack((ax, ay)))[0])
 
 

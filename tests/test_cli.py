@@ -4,7 +4,20 @@ import warnings
 import numpy as np
 import pytest
 
-from goldseason import MonthStamp, ReportConfig, SeriesPanel, analyze_panel, parse_panel_csv, render_panel_csv
+from goldseason import (
+    AccuracyMetrics,
+    DecompositionResult,
+    MeanReturnStat,
+    MonthStamp,
+    MonthlyReturnSummary,
+    ReportConfig,
+    SeasonalIndices,
+    SeriesPanel,
+    TrendLine,
+    analyze_panel,
+    parse_panel_csv,
+    render_panel_csv,
+)
 from goldseason.cli import run_cli
 from goldseason.synth import GeneratorSpec, generate_series
 from goldseason.report import CORRELATIONS_SECTION, DECOMPOSITION_SECTION, REPORT, RETURNS_SECTION
@@ -291,6 +304,31 @@ class TestOneAnalysisPath:
     def test_json_report_matches_golden_file(self, golden_csv, capsysbinary):
         assert run_cli(["report", "--input", str(golden_csv), "--group", "twosynth", "--format", "json"]) == 0
         assert capsysbinary.readouterr().out == (DATA_DIR / "golden_report.json").read_bytes()
+
+    def test_report_and_decompose_build_no_per_currency_record(self, golden_csv, tmp_path, monkeypatch,
+                                                               capsysbinary):
+        argvs = [["report", "--input", str(golden_csv), "--group", "twosynth", "--format", "json",
+                  "--charts", str(tmp_path / "charts")], ["decompose", "--input", str(golden_csv)]]
+        chart = tmp_path / "charts" / "twosynth_seasonal_deviation.csv"
+
+        def outputs():
+            printed = []
+            for argv in argvs:
+                assert run_cli(argv) == 0
+                printed.append(capsysbinary.readouterr().out)
+            return printed, chart.read_bytes()
+
+        expected = outputs()
+        assert expected[0][0] == (DATA_DIR / "golden_report.json").read_bytes()
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        for record in (SeasonalIndices, DecompositionResult, TrendLine, AccuracyMetrics, MeanReturnStat,
+                       MonthlyReturnSummary):
+            monkeypatch.setattr(record, "__init__", refuse)
+        chart.unlink()
+        assert outputs() == expected
 
     @pytest.mark.parametrize("command, index", [("returns", 1), ("correlate", 2), ("decompose", 3)])
     def test_subcommand_prints_its_report_section(self, golden_csv, capsys, command, index):

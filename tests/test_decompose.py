@@ -60,6 +60,12 @@ class TestCenteredMA:
         with pytest.raises(DataError, match="too short"):
             centered_ma([1.0] * 12)
 
+    def test_non_finite_value_is_data_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^moving-average input holds a non-finite value$"):
+                centered_ma([math.inf, -math.inf] + [1.0] * 11)
+
 
 class TestSeasonalIndices:
     def test_recovers_multiplicative_indices_flat_trend(self, rng):
@@ -139,6 +145,14 @@ class TestSeasonalIndices:
             raised.append((type(info.value), str(info.value)))
         assert raised[0] == raised[1]
 
+    def test_a_later_stage_fault_is_that_of_decompose(self):
+        values = [1 + (i % 12) / 10 for i in range(48)]
+        values[20] = math.inf  # the centered MA is inf around it, so a raw ratio and its month's index are 0
+        message = "deseasonalized value at 2000-03 is not finite: value 1.2, seasonal index 0.0"
+        for estimate in (seasonal_indices, decompose):
+            with pytest.raises(NumericError, match=f"^{re.escape(message)}$"):
+                estimate(values, MonthStamp(2000, 1))
+
     def test_from_values_normalizes(self):
         idx = SeasonalIndices.from_values(MULTIPLICATIVE, [2.0] * 12)
         assert idx.values == (1.0,) * 12
@@ -190,6 +204,12 @@ class TestFitTrend:
     def test_too_short(self):
         with pytest.raises(DataError):
             fit_trend([1.0])
+
+    def test_non_finite_value_is_data_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="^trend input holds a non-finite value$"):
+                fit_trend([1.0, math.inf, 2.0])
 
     def test_coefficient_past_the_largest_double_is_numeric_error(self):
         ramp = [1.7e308 * (2 * i / 23 - 1) for i in range(24)]  # its line is -1.85e308 at t = 0

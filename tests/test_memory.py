@@ -6,7 +6,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from goldseason import MonthStamp, ReportConfig, analyze_panel, decompose, parse_panel_csv
+from goldseason import MonthStamp, PriceSeries, ReportConfig, SeriesPanel, analyze_panel, decompose, parse_panel_csv
 from goldseason.report import json_pieces, render_json
 
 CODES = tuple(a + b + c for a in "ABCDEFGH" for b in "ABCDE" for c in "ABCDE")  # 200 codes
@@ -35,6 +35,12 @@ def traced_peak(call) -> int:
 
 def test_parser_peak_is_at_most_five_times_the_text(panel_text):
     assert traced_peak(lambda: parse_panel_csv(panel_text)) <= 5 * len(panel_text)
+
+
+def test_stacking_series_copies_their_prices_once():
+    series = [PriceSeries(code, MonthStamp(2000, 1), np.linspace(1.0, 2.0, 100_000) + j)
+              for j, code in enumerate(("AAA", "BBB", "CCC", "DDD"))]
+    assert traced_peak(lambda: SeriesPanel.from_series("g", series)) <= 1.2 * 4 * 100_000 * 8
 
 
 def test_decomposition_peak_is_at_most_seven_panels(panel_text):

@@ -30,6 +30,7 @@ from goldseason import (
     correlation_matrix,
     cumulative_growth,
     decompose,
+    emit_chart_data,
     one_sample_ttest,
     parse_panel_csv,
     pearson,
@@ -322,6 +323,26 @@ def test_panel_decomposition_equals_series_by_series(seed, start, n, k, model, a
         assert matrix.shape == (n, k) and not matrix.flags.writeable
         for result, column in zip(batched.results, matrix.T):
             np.testing.assert_array_equal(column, getattr(result, field), strict=True)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), month_strategy, st.integers(min_value=36, max_value=120),
+       st.integers(min_value=1, max_value=5), st.sampled_from([MULTIPLICATIVE, ADDITIVE]), st.data())
+@settings(max_examples=40, deadline=None)
+def test_sign_and_chart_wrappers_give_what_the_report_path_gives(tmp_path_factory, seed, start, n, k, model, data):
+    quorum = data.draw(st.integers(min_value=1, max_value=k))
+    panel = SeriesPanel("g", start, ("AAA", "BBB", "CCC", "DDD", "EEE")[:k], random_prices(seed, n, k))
+    analysis = analyze_panel(panel, ReportConfig(model=model, quorum=quorum))
+    indices = {code: result.indices for code, result in analysis.decompositions}
+    assert classify_month_signs(indices, quorum) == analysis.signs
+    directory = tmp_path_factory.getbasetemp() / "wrappers"
+    path = directory / "panel.csv"
+    directory.mkdir(exist_ok=True)
+    path.write_text(render_panel_csv(panel))
+    with redirect_stdout(io.StringIO()):
+        argv = ["report", "--input", str(path), "--group", "g", "--model", model, "--quorum", str(quorum)]
+        assert run_cli(argv + ["--charts", str(directory / "cli")]) == 0
+    chart = emit_chart_data("g", dict(analysis.decompositions), directory / "library")
+    assert chart.read_bytes() == (directory / "cli" / chart.name).read_bytes()
 
 
 def decomposed(kernel, prices: np.ndarray, start: MonthStamp, model: str, aggregator: str):

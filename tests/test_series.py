@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from goldseason import (
     DataError,
     MonthStamp,
     NumericError,
+    PriceSeries,
     ReturnSeries,
     SeriesPanel,
     align_panel,
@@ -320,3 +323,9 @@ class TestCumulativeGrowth:
     def test_too_short(self):
         with pytest.raises(DataError):
             cumulative_growth(make_series([100.0]))
+
+    def test_overflowing_ratio_is_numeric_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericError, match="^growth of AAA is not finite: price 1e\\+308 over 5e-324$"):
+                cumulative_growth(PriceSeries("AAA", MonthStamp(2000, 1), [5e-324, 1e308]))
