@@ -111,9 +111,7 @@ def _load_panel(args) -> SeriesPanel:
     panel = parse_panel_csv(text, args.group)
     start = _parse_stamp_flag(args.start, "--start") or panel.start
     end = _parse_stamp_flag(args.end, "--end") or panel.end
-    if (start, end) != (panel.start, panel.end):
-        panel = slice_span(panel, start, end)
-    return panel
+    return slice_span(panel, start, end)
 
 
 def _emit(pieces: Iterable[str], out: str | None) -> None:

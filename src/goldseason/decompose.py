@@ -41,7 +41,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only, _records_equal, _require_finite
+from .series import (MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only, _records_equal, _require_finite,
+                     _unit_scale)
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -88,9 +89,9 @@ class SeasonalIndices:
 
 def _normalize(model: str, raw: np.ndarray) -> np.ndarray:
     """Aggregates along the last axis normalized as `SeasonalIndices` requires; a multiplicative mean must be > 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):  # a mean that is not positive is rejected below
-        _, exponents = np.frexp(np.abs(raw).max(axis=-1, keepdims=True))  # a power-of-two scale keeps the sum finite
-        means = np.ldexp(np.ldexp(raw, -exponents).mean(axis=-1, keepdims=True), exponents)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a mean <= 0 or an index not finite raises
+        scaled, exponents = _unit_scale(raw, -1)
+        means = np.ldexp(scaled.mean(axis=-1, keepdims=True), exponents)
         normalized = raw / means if model == MULTIPLICATIVE else raw - means
     if model == MULTIPLICATIVE and (means <= 0.0).any():
         raise DataError("multiplicative indices must have a positive mean")
@@ -98,13 +99,13 @@ def _normalize(model: str, raw: np.ndarray) -> np.ndarray:
 
 
 def _check_normalized(model: str, rows) -> None:
-    """Raise unless each row of 12 indices averages 1 (multiplicative) or sums to 0 (additive), to rounding."""
-    for values in rows:
-        scale = max(1.0, max(map(abs, values)))
-        if model == MULTIPLICATIVE and abs(sum(values) / 12 - 1.0) > 1e-12 * scale:
-            raise DataError("multiplicative indices must average 1; use from_values to normalize")
-        if model == ADDITIVE and abs(sum(values)) > 1e-12 * scale * 12:
-            raise DataError("additive indices must sum to 0; use from_values to normalize")
+    """Raise unless each row of 12 indices averages 1 (multiplicative) or 0 (additive), to rounding."""
+    rows = np.asarray(rows, dtype=float)
+    scaled, exponents = _unit_scale(rows, -1)
+    target, rule = (1.0, "average 1") if model == MULTIPLICATIVE else (0.0, "sum to 0")
+    errors = np.abs(np.ldexp(scaled.mean(axis=-1), exponents[:, 0]) - target)
+    if (errors > 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=-1))).any():
+        raise DataError(f"{model} indices must {rule}; use from_values to normalize")
 
 
 @dataclass(frozen=True)
@@ -271,10 +272,8 @@ def seasonal_indices(
 
 def _fit_trend_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Intercepts and slopes of the least-squares lines of the rows of y on t = 1..N; infinite where one overflows."""
-    n = y.shape[-1]
-    _, exponent = np.frexp(np.maximum(y.max(axis=-1), -y.min(axis=-1)))  # max |y|; a power-of-two scale keeps the bits
-    y = np.ldexp(y, -exponent[:, None])
-    t = np.arange(1, n + 1, dtype=float)
+    y, exponents = _unit_scale(y, -1)
+    t = np.arange(1, y.shape[-1] + 1, dtype=float)
     t_dev = t - t.mean()
     y_mean = y.mean(axis=-1)
     y -= y_mean[:, None]  # the residuals, centred and weighted in place
@@ -282,7 +281,7 @@ def _fit_trend_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     slope = y.sum(axis=-1) / (t_dev @ t_dev)
     intercept = y_mean - slope * t.mean()
     with np.errstate(over="ignore"):
-        return np.ldexp(intercept, exponent), np.ldexp(slope, exponent)
+        return np.ldexp(intercept, exponents[:, 0]), np.ldexp(slope, exponents[:, 0])
 
 
 def fit_trend(values: Sequence[float]) -> TrendLine:
@@ -302,8 +301,8 @@ def _error_rows(actual: np.ndarray, fitted: np.ndarray) -> tuple[np.ndarray, np.
         scratch = np.abs(actual)  # each metric's terms in turn
         mape = 100.0 * np.mean(np.divide(err, scratch, out=scratch), axis=-1)
         msd = np.mean(np.multiply(err, err, out=scratch), axis=-1)
-        _, exponent = np.frexp(err.max(axis=-1))  # a power-of-two scale keeps the sum of errors finite
-        mad = np.ldexp(np.mean(np.ldexp(err, -exponent[..., None], out=scratch), axis=-1), exponent)
+        scaled, exponents = _unit_scale(err, -1, out=scratch)
+        mad = np.ldexp(scaled.mean(axis=-1), exponents[..., 0])
     # a zero or subnormal actual value, squared errors that overflow, an error that overflows
     return tuple(np.where(np.isfinite(metric), metric, np.nan) for metric in (mape, mad, msd))
 
@@ -344,7 +343,7 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
         if model == MULTIPLICATIVE:
             _check_positive(x, start)
         indices = _normalize(model, raw)
-        _check_normalized(model, indices.tolist())
+        _check_normalized(model, indices)
         slots = start.calendar_slots(n)
         per_point = np.broadcast_to(indices[:, None, :], indices.shape[:1] + slots.shape)[:, slots]
         deseasonalized = x / per_point if model == MULTIPLICATIVE else x - per_point

@@ -96,6 +96,16 @@ def _require_finite(values: np.ndarray, what: str) -> None:
         raise DataError(f"{what} holds a non-finite value")
 
 
+def _unit_scale(values: np.ndarray, axis: int, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Each slice along `axis` times the power of two that brings its largest magnitude below 1, and the exponents.
+
+    The exponents keep `axis` as a length-1 dimension. The scaling is exact short of the subnormal range, so a sum
+    of scaled values, scaled back by `np.ldexp`, is the plain sum where that is finite, and is finite for finite values.
+    """
+    _, exponents = np.frexp(np.maximum(values.max(axis=axis, keepdims=True), -values.min(axis=axis, keepdims=True)))
+    return np.ldexp(values, -exponents, out=out), exponents
+
+
 def _records_equal(self, other) -> bool:
     """`==` of records holding arrays, which are then unhashable: one type, equal fields, arrays by `np.array_equal`."""
     return type(other) is type(self) and all(

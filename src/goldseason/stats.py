@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, ReturnSeries, SeriesPanel, _read_only, _require_finite
+from .series import MonthStamp, ReturnSeries, SeriesPanel, _read_only, _require_finite, _unit_scale
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -112,15 +112,14 @@ def _continued_fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, z: np.nd
 
     Lentz's C and E = 1/D follow one recurrence, X = denominator + numerator / X,
     and each step multiplies the value by C/E. Every `_CF_CHECK` steps, an
-    element whose last step moved it by less than the tolerance stops, so
-    its value does not depend on the other elements.
+    element whose last step moved it by less than the tolerance stops, and
+    its value is fixed then, whatever the other elements still do.
     """
     z2 = z * z
     value = 1.0 - ((a + b) / (a + 1.0))[pair] * z  # 1 + d1
     c, e = value, np.full_like(z, np.inf)  # E = 1/D, and D = 0 before the first step
     result = np.empty_like(z)
-    index = np.arange(z.size)
-    live = np.ones(z.size, dtype=bool)  # stopped elements step on until the arrays drop them
+    live = np.ones(z.size, dtype=bool)  # stopped elements step on; their results are written
     for first in range(1, _CF_STEPS + 1, _CF_CHUNK):
         numerator, slope = _fraction_coefficients(a, b, first)
         numerator = numerator[:, pair] * z2
@@ -133,16 +132,10 @@ def _continued_fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, z: np.nd
             if step % _CF_CHECK != _CF_CHECK - 1:
                 continue
             stopped = (np.abs(delta - 1.0) < _CF_TOLERANCE) & live
-            if not np.count_nonzero(stopped):
-                continue
-            result[index[stopped]] = value[stopped]
-            live[stopped] = False
-            remaining = np.count_nonzero(live)
-            if not remaining:
+            result[stopped] = value[stopped]
+            live &= ~stopped
+            if not live.any():
                 return result
-            if 2 * remaining <= live.size:
-                numerator, denominator = numerator[:, live], denominator[:, live]
-                pair, z, z2, c, e, value, index, live = (v[live] for v in (pair, z, z2, c, e, value, index, live))
     raise NumericError(f"t-test p-value did not converge in {_CF_STEPS} steps")
 
 
@@ -193,21 +186,20 @@ def _mean_ttests(values: np.ndarray, present: np.ndarray):
     results are (k, buckets) arrays, counts one per bucket. t is NaN where
     a bucket has fewer than 2 values or zero variance. Every bucket is
     reduced along axis -2 on its own, so a series gives the same bits alone
-    or in a panel. Each bucket's values are scaled by a power of two before
-    they are summed, and its deviations again before their squares are,
-    which changes no mean or t but keeps the sums finite for any finite value.
+    or in a panel. Values, then deviations, are `_unit_scale`d per bucket, which
+    changes no mean or t but keeps every sum finite for any finite value.
     """
     counts = present.sum(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined buckets are masked below
-        _, exponents = np.frexp(np.abs(values).max(axis=-2))
-        means = np.ldexp(np.ldexp(values, -exponents[..., None, :]).sum(axis=-2) / counts, exponents)
-        deviations = np.where(present, values - means[..., None, :], 0.0)
-        _, exponents = np.frexp(np.abs(deviations).max(axis=-2))
-        np.ldexp(deviations, -exponents[..., None, :], out=deviations)
+        deviations, exponents = _unit_scale(values, -2)
+        means = deviations.sum(axis=-2, keepdims=True) / counts  # scaled like the values
+        deviations -= means
+        np.copyto(deviations, 0.0, where=~present)
+        _, spread_exponents = _unit_scale(deviations, -2, out=deviations)
         squares = np.square(deviations, out=deviations).sum(axis=-2)
         spreads = np.sqrt(squares / (counts - 1))  # standard deviations scaled like the deviations
-        t_stats = np.ldexp(means, -exponents) / (spreads / np.sqrt(counts))
-    return means, counts, np.where((counts >= 2) & (spreads != 0.0), t_stats, np.nan)
+        t_stats = np.ldexp(means, -spread_exponents)[..., 0, :] / (spreads / np.sqrt(counts))
+    return np.ldexp(means, exponents)[..., 0, :], counts, np.where((counts >= 2) & (spreads != 0.0), t_stats, np.nan)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -235,17 +227,15 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
 def _pearson_r(data: np.ndarray) -> np.ndarray:
     """Pearson correlations of the columns of an (n, k) matrix, upper triangle in `triu_indices` order.
 
-    Columns are scaled by powers of two before they are centered, and again
-    after, which changes no r but keeps the sums and the sums of squares
-    finite for values up to the largest double.
+    Columns are `_unit_scale`d before they are centered, and again after, which
+    changes no r but keeps every sum finite for values up to the largest double.
     """
     n, k = data.shape
     if n < 3:
         raise DataError(f"correlation needs at least 3 pairs, got {n}")
-    deviations = np.ldexp(data, -np.frexp(np.abs(data).max(axis=0))[1])
+    deviations, _ = _unit_scale(data, 0)
     deviations -= deviations.mean(axis=0)
-    _, exponents = np.frexp(np.abs(deviations).max(axis=0))
-    np.ldexp(deviations, -exponents, out=deviations)
+    _unit_scale(deviations, 0, out=deviations)
     products = deviations.T @ deviations
     sums_of_squares = products.diagonal()
     if (sums_of_squares == 0.0).any():
@@ -327,6 +317,7 @@ def monthly_tests(returns: np.ndarray, start: MonthStamp, alpha: float) -> Month
     so faults are checked stage by stage over all currencies, as for one series.
     """
     _check_alpha(alpha)
+    _require_finite(returns, "returns")
     values = np.ascontiguousarray(returns.T)
     slots = start.calendar_slots(values.shape[1])
     grid = np.zeros(values.shape[:1] + slots.shape)
@@ -348,8 +339,8 @@ def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyR
     """Group a return series by calendar month and test each mean against zero.
 
     Every calendar month must appear at least twice (the t-test needs
-    n >= 2); violations raise DataError naming the month. The overall
-    record covers all observations.
+    n >= 2), or DataError names the month; a value that is not finite
+    raises DataError too. The overall record covers all observations.
     """
     return monthly_tests(returns.values()[:, None], returns.start, alpha).summaries((returns.currency,))[0]
 
@@ -386,9 +377,9 @@ class CorrelationMatrix:
 def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0.05) -> CorrelationMatrix:
     """Pairwise Pearson correlations of panel series on prices or returns.
 
-    Prices are correlated as raw levels, without detrending. The returns
-    basis correlates the month-over-month return series instead. Each pair
-    is tested as in `correlation_significance`.
+    Prices are correlated as raw levels, without detrending; a price that is
+    not finite raises DataError. The returns basis correlates the returns
+    instead. Each pair is tested as in `correlation_significance`.
     """
     if basis not in (PRICES, RETURNS):
         raise DataError(f"basis must be {PRICES!r} or {RETURNS!r}, got {basis!r}")
@@ -396,6 +387,7 @@ def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0
     if len(panel) < 2:
         raise DataError("correlation matrix needs at least 2 series")
     data = panel.prices if basis == PRICES else panel.returns()
+    _require_finite(data, "correlation input")
     n, k = data.shape
     r = _pearson_r(data)
     _, p = _correlation_t_p(r, n)

@@ -177,6 +177,17 @@ class TestSeasonalIndices:
         with pytest.raises(DataError, match="seasonal indices must be finite"):
             SeasonalIndices.from_values(model, (special,) + (1.0,) * 11)
 
+    def test_indices_near_the_largest_double_are_checked_scaled(self):
+        """The unscaled sum of these offsets overflowed, and they were rejected as not summing to 0."""
+        values = (1.7e308, 1.7e308, -1.7e308, -1.7e308) + (0.0,) * 8
+        assert SeasonalIndices(ADDITIVE, values).values == values
+
+    def test_overflowing_index_is_rejected_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="seasonal indices must be finite"):
+                SeasonalIndices.from_values(ADDITIVE, [1.7e308] * 11 + [-1.7e308])
+
     def test_unnormalized_construction_rejected(self):
         with pytest.raises(DataError, match="average 1"):
             SeasonalIndices(MULTIPLICATIVE, (1.1,) * 12)
@@ -346,6 +357,13 @@ class TestDecompose:
         assert (top.trend.intercept, top.trend.slope, top.accuracy.mad) == tuple(math.ldexp(v, 1023) for v in unscaled)
         assert top.accuracy.mape == base.accuracy.mape
         assert math.isnan(top.accuracy.msd)
+
+    def test_additive_indices_near_the_largest_double_pass_their_own_check(self):
+        """The check summed these indices unscaled, overflowed and asked for `from_values`, which `decompose` had used."""
+        values = [0.0] * 6 + [1.7e308, 0.0, -1.7e308] + [0.0] * 15
+        result = decompose(values, MonthStamp(2000, 1), model=ADDITIVE)
+        assert max(result.indices.values) == pytest.approx(1.6763888888888888e308, rel=1e-12)
+        assert math.isnan(result.accuracy.msd)
 
     @pytest.mark.parametrize("aggregator", ["median", "mean"])
     def test_calendar_month_without_raw_seasonals_is_numeric_error(self, aggregator):

@@ -84,6 +84,12 @@ class TestOneSampleTTest:
         with pytest.raises(DataError, match="t-test sample holds a non-finite value"):
             one_sample_ttest([1.0, math.nan, 2.0])
 
+    def test_deviations_near_the_largest_double_stay_finite(self):
+        """scipy's t and p for the same sample times 1e-300; the unscaled deviation 3.4e308 overflowed."""
+        result = one_sample_ttest([-1.7e308, -1.7e308, 1.7e308])
+        assert result.t_stat == -0.5
+        assert result.p_value == pytest.approx(2.0 / 3.0, rel=1e-12)
+
 
 class TestTwoSidedP:
     def test_matches_mpmath(self):
@@ -273,6 +279,13 @@ class TestMonthlyMeanReturns:
         with pytest.raises(DataError, match="alpha"):
             monthly_mean_returns(make_returns([0.01, -0.01] * 12), alpha=1.5)
 
+    @pytest.mark.parametrize("special", [math.nan, math.inf])
+    def test_non_finite_return_is_data_error(self, special):
+        values = [0.01, -0.02, 0.03] * 8
+        values[9] = special
+        with pytest.raises(DataError, match="returns holds a non-finite value"):
+            monthly_mean_returns(make_returns(values))
+
     def test_significance_flag_matches_p_value(self, rng):
         values = rng.normal(0.005, 0.04, size=240)
         summary = monthly_mean_returns(make_returns(values))
@@ -375,3 +388,10 @@ class TestCorrelationMatrix:
     def test_invalid_basis(self, rng):
         with pytest.raises(DataError, match="basis"):
             correlation_matrix(self._panel(rng), basis="levels")
+
+    @pytest.mark.parametrize("special", [math.nan, math.inf])
+    def test_non_finite_price_is_data_error(self, rng, special):
+        prices = rng.uniform(50.0, 60.0, (60, 3))
+        prices[7, 1] = special
+        with pytest.raises(DataError, match="correlation input holds a non-finite value"):
+            correlation_matrix(SeriesPanel("g", MonthStamp(2000, 1), ("AAA", "BBB", "CCC"), prices))
