@@ -35,14 +35,13 @@ raise NumericError naming the month and the values it came from.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import (MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only, _records_equal, _require_finite,
-                     _unit_scale)
+from .series import (MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only, _Record, _records_equal,
+                     _require_finite, _unit_scale)
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -65,8 +64,7 @@ def _check_twelve(values: Sequence[float]) -> None:
         raise DataError(f"need 12 seasonal indices, got {len(values)}")
 
 
-@dataclass(frozen=True)
-class SeasonalIndices:
+class SeasonalIndices(_Record):
     """Normalized per-month seasonal factors (multiplicative) or offsets (additive)."""
 
     model: str
@@ -108,8 +106,7 @@ def _check_normalized(model: str, rows) -> None:
         raise DataError(f"{model} indices must {rule}; use from_values to normalize")
 
 
-@dataclass(frozen=True)
-class TrendLine:
+class TrendLine(_Record):
     """Linear trend value = intercept + slope * t, with t = 1 at the first observation."""
 
     intercept: float
@@ -128,8 +125,7 @@ def _check_trend(coefficients) -> None:
         raise NumericError("trend coefficients must be finite")
 
 
-@dataclass(frozen=True)
-class AccuracyMetrics:
+class AccuracyMetrics(_Record):
     """MAPE (percent), MAD (input units), MSD (input units squared)."""
 
     mape: float
@@ -137,8 +133,7 @@ class AccuracyMetrics:
     msd: float
 
 
-@dataclass(frozen=True, eq=False)
-class DecompositionResult:
+class DecompositionResult(_Record):
     """One series' decomposition; `fitted` and `irregular` are read-only 1-D arrays, one value per month."""
 
     model: str
@@ -155,8 +150,7 @@ class DecompositionResult:
     __eq__ = _records_equal
 
 
-@dataclass(frozen=True, eq=False)
-class PanelDecomposition:
+class PanelDecomposition(_Record, eq=False):
     """Every column of a panel decomposed in one pass, as read-only arrays with one column per series.
 
     `indices` is (12, k), `trend` (2, k): intercepts, slopes, and `accuracy`

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -27,7 +26,7 @@ from .decompose import (
     seasonal_deviation_percent,
 )
 from .errors import DataError
-from .series import MonthStamp, SeriesPanel
+from .series import MonthStamp, SeriesPanel, _Record
 from .stats import (
     PRICES,
     RETURNS,
@@ -52,8 +51,7 @@ DECOMPOSITION_SECTION = "decomposition"
 REPORT = (RETURNS_SECTION, CORRELATIONS_SECTION, DECOMPOSITION_SECTION)
 
 
-@dataclass(frozen=True)
-class ReportConfig:
+class ReportConfig(_Record):
     """Knobs for one report run; defaults mirror the CLI defaults."""
 
     model: str = MULTIPLICATIVE
@@ -101,8 +99,7 @@ def _month_signs(model: str, indices: np.ndarray, quorum: int | None) -> tuple[s
     return tuple(np.where(above, SIGN_POSITIVE, np.where(below, SIGN_NEGATIVE, SIGN_NEUTRAL)).tolist())
 
 
-@dataclass(frozen=True)
-class PanelAnalysis:
+class PanelAnalysis(_Record):
     """The sections of one panel's analysis, as arrays with one column per currency; a section not computed is None.
 
     `summaries` and `decompositions` build per-currency records on request; they and `signs` are empty if not computed.

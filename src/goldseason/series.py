@@ -19,9 +19,9 @@ thousands separators, no blank cells. Blank lines may only trail the data.
 
 from __future__ import annotations
 
+import inspect
 import re
-from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, total_ordering
 
 import numpy as np
 
@@ -31,8 +31,54 @@ _STAMP_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"[A-Za-z]{3}")
 
 
-@dataclass(frozen=True, order=True)
-class MonthStamp:
+class _Record:
+    """A frozen record whose `_fields` are its annotated names, after its bases'; no method is compiled per class.
+
+    Fields are given by position or keyword, default to the class attribute of the same name, and are fixed once
+    `__post_init__` has run. Records compare and hash as the tuple of their fields, or by identity with `eq=False`.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, eq: bool = True) -> None:
+        cls._fields += tuple(name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields)
+        cls.__signature__ = inspect.Signature([inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                                                                 default=getattr(cls, name, inspect.Parameter.empty))
+                                               for name in cls._fields])
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, *args, **kwargs) -> None:
+        if kwargs or len(args) != len(self._fields):  # raises TypeError as a call of the signature would
+            bound = self.__signature__.bind(*args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args
+        self.__dict__.update(zip(self._fields, args))
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        """Check, and convert through `object.__setattr__`, the fields just set."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+
+@total_ordering
+class MonthStamp(_Record):
     """A calendar month, ordered lexicographically by (year, month)."""
 
     year: int
@@ -41,6 +87,9 @@ class MonthStamp:
     def __post_init__(self) -> None:
         if not 1 <= self.month <= 12:
             raise DataError(f"month must be in 1..12, got {self.month}")
+
+    def __lt__(self, other):
+        return self._values() < other._values() if type(other) is MonthStamp else NotImplemented
 
     @classmethod
     def parse(cls, text: str) -> "MonthStamp":
@@ -110,12 +159,11 @@ def _records_equal(self, other) -> bool:
     """`==` of records holding arrays, which are then unhashable: one type, equal fields, arrays by `np.array_equal`."""
     return type(other) is type(self) and all(
         np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
-        for mine, theirs in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        for mine, theirs in zip(self._values(), other._values())
     )
 
 
-@dataclass(frozen=True, eq=False)
-class _MonthlyColumn:
+class _MonthlyColumn(_Record):
     """One currency's monthly values: a code, the stamp of the first value, and a read-only 1-D array."""
 
     currency: str
@@ -156,8 +204,7 @@ class ReturnSeries(_MonthlyColumn):
         return self.data
 
 
-@dataclass(frozen=True, eq=False)
-class SeriesPanel:
+class SeriesPanel(_Record):
     """Prices of several currencies over one span: a read-only (months x currencies) matrix.
 
     `series`, built on first access, holds one `PriceSeries` per column, each a view of the matrix.

@@ -21,13 +21,12 @@ Significance testing conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, ReturnSeries, SeriesPanel, _read_only, _require_finite, _unit_scale
+from .series import MonthStamp, ReturnSeries, SeriesPanel, _read_only, _Record, _require_finite, _unit_scale
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -45,8 +44,7 @@ class CorrelationTest(NamedTuple):
     significant: bool
 
 
-@dataclass(frozen=True)
-class MeanReturnStat:
+class MeanReturnStat(_Record):
     """Mean of one return bucket plus its test against a zero mean."""
 
     mean: float
@@ -56,8 +54,7 @@ class MeanReturnStat:
     significant: bool
 
 
-@dataclass(frozen=True)
-class MonthlyReturnSummary:
+class MonthlyReturnSummary(_Record):
     """Twelve calendar-month mean-return records plus an overall record."""
 
     currency: str
@@ -276,8 +273,7 @@ def correlation_significance(r: float, n: int, alpha: float = 0.05) -> Correlati
     return CorrelationTest(float(t_stat), float(p), bool(p < alpha))
 
 
-@dataclass(frozen=True, eq=False)
-class MonthlyTests:
+class MonthlyTests(_Record, eq=False):
     """t-tests of the mean returns of k columns as (13, k) arrays: row m - 1 is calendar month m, row 12 all months.
 
     `counts` holds the 13 observation counts every column shares. Every array is read-only.
@@ -345,8 +341,7 @@ def monthly_mean_returns(returns: ReturnSeries, alpha: float = 0.05) -> MonthlyR
     return monthly_tests(returns.values()[:, None], returns.start, alpha).summaries((returns.currency,))[0]
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelationMatrix:
+class CorrelationMatrix(_Record, eq=False):
     """Symmetric pairwise Pearson matrix with per-cell p-values and significance flags.
 
     `values`, `p_values` and `significant` are read-only k x k arrays in

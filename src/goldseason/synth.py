@@ -9,17 +9,14 @@ of its spec and reproducible across platforms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .decompose import MULTIPLICATIVE, SeasonalIndices, _check_model
 from .errors import DataError
-from .series import MonthStamp, PriceSeries
+from .series import MonthStamp, PriceSeries, _Record
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(_Record):
     """Parameters of one synthetic monthly series.
 
     Indices are normalized at construction (mean 1 for multiplicative,
@@ -35,7 +32,7 @@ class GeneratorSpec:
     noise_sd: float = 0.0
     length: int = 240
     seed: int = 0
-    start: MonthStamp = field(default_factory=lambda: MonthStamp(2000, 1))
+    start: MonthStamp = MonthStamp(2000, 1)
     currency: str = "SYN"
 
     def __post_init__(self) -> None:

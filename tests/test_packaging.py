@@ -1,4 +1,5 @@
-"""The runtime needs numpy only: scipy is a test-only oracle."""
+"""The runtime needs numpy only: scipy is a test-only oracle. A cold process compiles no record methods and exits
+through `main` with its heap frozen."""
 
 import json
 import os
@@ -9,14 +10,15 @@ from pathlib import Path
 import pytest
 
 import goldseason
+from goldseason.cli import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+def run_python(code: str, *args: str, text: bool = True) -> subprocess.CompletedProcess:
     """A fresh interpreter that imports this checkout's package."""
     env = dict(os.environ, PYTHONPATH=str(Path(goldseason.__file__).resolve().parents[1]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=text,
                           timeout=120)
 
 
@@ -46,3 +48,45 @@ def test_scipy_is_a_test_dependency_only():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
     assert [req for req in project["dependencies"] if req.lower().startswith("scipy")] == []
     assert any(req.lower().startswith("scipy") for req in project["optional-dependencies"]["test"])
+
+
+def test_cli_import_compiles_only_what_its_named_tuples_need():
+    """Records are plain classes: importing the CLI compiles no source text beyond the two `NamedTuple`s'."""
+    proc = run_python(
+        "import sys, typing, numpy\n"
+        "compiles = []\n"
+        "sys.addaudithook(lambda event, args: event == 'compile' and args[1] == '<string>' and compiles.append(args))\n"
+        "import goldseason.cli\n"
+        "records = len(compiles)\n"
+        "from goldseason.stats import CorrelationTest, TTestResult\n"
+        "for named in (TTestResult, CorrelationTest):  # as declared, with each type as a string\n"
+        "    typing.NamedTuple(named.__name__, [(n, t.__forward_arg__) for n, t in named.__annotations__.items()])\n"
+        "print(records, len(compiles) - records)"
+    )
+    assert proc.returncode == 0, proc.stderr
+    records, named_tuples = map(int, proc.stdout.split())
+    assert 0 < records <= named_tuples, proc.stdout
+
+
+@pytest.mark.parametrize("case, code", [("synth", 0), ("missing", 1), ("gap", 2), ("flat", 3)])
+def test_main_exits_with_the_code_and_output_of_run_cli_and_a_frozen_heap(tmp_path, capsys, case, code):
+    source = tmp_path / f"{case}.csv"
+    if case == "synth":
+        assert run_cli(["synth", "--intercept", "100", "--slope", "0.5", "--noise-sd", "0.05", "--length", "48",
+                        "--out", str(source)]) == 0
+    elif case == "gap":
+        source.write_text("date,AAA\n2000-01,1.0\n2000-03,2.0\n")
+    elif case == "flat":
+        assert run_cli(["synth", "--intercept", "100", "--out", str(source)]) == 0
+    argv = ["report", "--input", str(source)]
+    assert run_cli(argv) == code
+    expected = capsys.readouterr().out
+    proc = run_python(
+        "import atexit, gc, sys\n"
+        "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+        "from goldseason.cli import main; main()",
+        *argv, text=False,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == expected.encode("utf-8")
+    assert proc.stderr.decode("utf-8").endswith("frozen True\n"), proc.stderr
