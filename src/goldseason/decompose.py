@@ -234,12 +234,20 @@ def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregat
     grid.transpose(0, 2, 1)[:, slots] = raws
     del raws
     if aggregator == MEAN:  # a month with no raw seasonal gets NaN, and no warning as np.nanmean gives
-        return np.nansum(grid, axis=-1) / np.count_nonzero(~np.isnan(grid), axis=-1)
+        counts = np.count_nonzero(~np.isnan(grid), axis=-1)
+        sums = np.nansum(grid, axis=-1)
+        means = sums / counts
+        overflow = ~np.isfinite(sums)  # these months' raw seasonals are summed `_unit_scale`d
+        scaled, exponents = _unit_scale(np.where(np.isnan(grid[overflow]), 0.0, grid[overflow]), -1)
+        means[overflow] = np.ldexp(scaled.sum(axis=-1) / counts[overflow], exponents[:, 0])
+        return means
     grid.sort(axis=-1)  # NaN sorts last
     counts = np.count_nonzero(~np.isnan(grid), axis=-1)[..., None]
     low = np.take_along_axis(grid, (counts - 1) // 2, axis=-1)
     high = np.take_along_axis(grid, counts // 2, axis=-1)
-    return np.where(counts % 2 == 1, low, (low + high) / 2.0)[..., 0]  # a middle pair's sum may overflow
+    pairs = low + high
+    pairs = np.where(np.isfinite(pairs), pairs / 2.0, low / 2.0 + high / 2.0)  # halved first where the sum overflows
+    return np.where(counts % 2 == 1, low, pairs)[..., 0]
 
 
 def _check_positive(values: np.ndarray, start: MonthStamp) -> None:
@@ -400,10 +408,15 @@ def _check_finite(name: str, component: np.ndarray, start: MonthStamp, inputs: C
 def seasonal_deviation_percent(indices: SeasonalIndices) -> tuple[float, ...]:
     """Per-month percent deviation from the trend implied by seasonal indices.
 
-    Multiplicative indices map to (value - 1) * 100. Additive offsets are
-    returned in input units.
+    Multiplicative indices map to (value - 1) * 100, and one past the
+    largest double raises NumericError. Additive offsets are returned in
+    input units.
     """
-    return tuple(_deviation_percent(indices.model, np.array(indices.values)).tolist())
+    with np.errstate(over="ignore"):  # an overflow raises below
+        deviations = _deviation_percent(indices.model, np.array(indices.values))
+    if not np.isfinite(deviations).all():
+        raise NumericError(f"a seasonal deviation overflows: indices {list(indices.values)}")
+    return tuple(deviations.tolist())
 
 
 def _deviation_percent(model: str, indices: np.ndarray) -> np.ndarray:

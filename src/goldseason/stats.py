@@ -208,13 +208,18 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
     """Two-sided one-sample Student t-test of the mean against mu0.
 
     Returns (t_stat, df, p_value). Raises DataError for a non-finite value
-    and NumericError for samples with fewer than two observations or with
-    zero variance ("constant sample").
+    or mu0 and NumericError for samples with fewer than two observations or
+    with zero variance ("constant sample"). The sample and mu0 are
+    `_unit_scale`d together before mu0 is subtracted, so no difference overflows.
     """
-    x = np.asarray(sample, dtype=float) - mu0
-    _require_finite(x, "t-test sample")
-    if x.size < 2:
-        raise NumericError(f"t-test needs at least 2 observations, got {x.size}")
+    sample = np.asarray(sample, dtype=float)
+    _require_finite(sample, "t-test sample")
+    if not math.isfinite(mu0):
+        raise DataError(f"mu0 must be finite, got {mu0}")
+    if sample.size < 2:
+        raise NumericError(f"t-test needs at least 2 observations, got {sample.size}")
+    scaled, _ = _unit_scale(np.append(sample, mu0), 0)
+    x = scaled[:-1] - scaled[-1]
     t_stat = _mean_ttests(x[None, :, None], np.ones((x.size, 1), dtype=bool))[2][0, 0]
     if np.isnan(t_stat):
         raise NumericError("constant sample: zero variance, t-test undefined")

@@ -366,6 +366,17 @@ class TestDecompose:
         assert math.isnan(result.accuracy.msd)
 
     @pytest.mark.parametrize("aggregator", ["median", "mean"])
+    def test_raw_seasonals_whose_sum_overflows_aggregate_to_a_finite_index(self, aggregator):
+        """Every July raw seasonal is 1.375e308: their middle pair, or their sum, overflowed to an index of -inf."""
+        values = np.array([1.5e308 if i % 12 == 6 else 0.0 for i in range(60)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = decompose(values, MonthStamp(2000, 1), ADDITIVE, aggregator)
+        small = decompose(np.ldexp(values, -4), MonthStamp(2000, 1), ADDITIVE, aggregator)  # the same sums, finite
+        assert result.indices.values == tuple(math.ldexp(value, 4) for value in small.indices.values)
+        assert max(result.indices.values) > 1e308
+
+    @pytest.mark.parametrize("aggregator", ["median", "mean"])
     def test_calendar_month_without_raw_seasonals_is_numeric_error(self, aggregator):
         values = np.linspace(100.0, 135.0, 36)
         values[[0, 12, 24]] = np.nan  # every July; the MA windows around them leave no raw seasonal defined

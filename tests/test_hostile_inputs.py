@@ -3,8 +3,7 @@
 Values are drawn from 0, +-5e-324, +-1e-300, +-1e155, +-1.7e308, +-inf and NaN, mixed with any float, in
 lists of up to 60 values, and every call runs with warnings as errors. The NaN accuracy metrics of a decomposition
 are the one documented exception. Functions documented to reject a value that is not finite must raise
-`DataError` for one. `seasonal_deviation_percent` is left out: multiplicative indices such as ten 0s, 1.7e308
-and -1.7e308 average 1 to within 1e-12 of their largest magnitude, and (1.7e308 - 1) * 100 overflows.
+`DataError` for one.
 """
 
 import math
@@ -34,6 +33,7 @@ from goldseason import (
     monthly_mean_returns,
     one_sample_ttest,
     pearson,
+    seasonal_deviation_percent,
     seasonal_indices,
 )
 from goldseason.stats import PRICES, RETURNS
@@ -68,11 +68,12 @@ def check(result, values, *fields) -> None:
         assert all(finite(getattr(result, name)) for name in fields), result
 
 
-@given(samples)
-@example([-1.7e308, -1.7e308, 1.7e308])  # the mean was subtracted unscaled, which overflowed
+@given(samples, numbers)
+@example([-1.7e308, -1.7e308, 1.7e308], 0.0)  # the mean was subtracted unscaled, which overflowed
+@example([1.7e308, 1.0, 2.0], -1.7e308)  # mu0 was subtracted unscaled, which overflowed
 @settings(max_examples=300)
-def test_one_sample_ttest(sample):
-    check(outcome(one_sample_ttest, sample), sample, "t_stat", "p_value")
+def test_one_sample_ttest(sample, mu0):
+    check(outcome(one_sample_ttest, sample, mu0), sample + [mu0], "t_stat", "p_value")
 
 
 @given(st.lists(st.tuples(numbers, numbers), max_size=40), st.lists(numbers, max_size=1))
@@ -123,6 +124,16 @@ def test_seasonal_indices_record(model, values):
 @settings(max_examples=300)
 def test_seasonal_indices_from_values(model, values):
     check(outcome(SeasonalIndices.from_values, model, values), values, "values")
+
+
+@given(models, samples)
+@example(MULTIPLICATIVE, [0.0] * 10 + [1.7e308, -1.7e308])  # averages 1 to rounding; (1.7e308 - 1) * 100 overflowed
+@settings(max_examples=300)
+def test_seasonal_deviation_percent(model, values):
+    indices = outcome(SeasonalIndices, model, tuple(values))
+    if not isinstance(indices, GoldseasonError):
+        result = outcome(seasonal_deviation_percent, indices)
+        assert isinstance(result, GoldseasonError) or finite(result), result
 
 
 @given(samples)
