@@ -19,7 +19,6 @@ thousands separators, no blank cells. Blank lines may only trail the data.
 
 from __future__ import annotations
 
-import inspect
 import re
 from functools import cached_property, total_ordering
 
@@ -35,24 +34,27 @@ class _Record:
     """A frozen record whose `_fields` are its annotated names, after its bases'; no method is compiled per class.
 
     Fields are given by position or keyword, default to the class attribute of the same name, and are fixed once
-    `__post_init__` has run. Records compare and hash as the tuple of their fields, or by identity with `eq=False`.
+    `__post_init__` has run. Records compare and hash as the tuple of their fields, unless a class sets `__eq__`
+    (as `_records_equal`) or `eq=False` (identity).
     """
 
     _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls, eq: bool = True) -> None:
         cls._fields += tuple(name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields)
-        cls.__signature__ = inspect.Signature([inspect.Parameter(name, inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                                                                 default=getattr(cls, name, inspect.Parameter.empty))
-                                               for name in cls._fields])
+        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs) -> None:
-        if kwargs or len(args) != len(self._fields):  # raises TypeError as a call of the signature would
-            bound = self.__signature__.bind(*args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args
+        if kwargs or len(args) != len(self._fields):  # the fields after the positional ones: by keyword, or default
+            try:
+                args += tuple([kwargs.pop(name) if name in kwargs else self._defaults[name]
+                               for name in self._fields[len(args):]])
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__name__} needs a value for the field {missing}") from None
+            if kwargs or len(args) > len(self._fields):
+                raise TypeError(f"{type(self).__name__} has the fields {self._fields}; got {args} and {kwargs}")
         self.__dict__.update(zip(self._fields, args))
         self.__post_init__()
 
