@@ -209,8 +209,8 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
 
     Returns (t_stat, df, p_value). Raises DataError for a non-finite value
     or mu0 and NumericError for samples with fewer than two observations or
-    with zero variance ("constant sample"). The sample and mu0 are
-    `_unit_scale`d together before mu0 is subtracted, so no difference overflows.
+    with zero variance ("constant sample"). The sample and mu0 are scaled
+    by one power of two before mu0 is subtracted, so no difference overflows.
     """
     sample = np.asarray(sample, dtype=float)
     _require_finite(sample, "t-test sample")
