@@ -237,17 +237,19 @@ def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregat
         counts = np.count_nonzero(~np.isnan(grid), axis=-1)
         sums = np.nansum(grid, axis=-1)
         means = sums / counts
-        overflow = ~np.isfinite(sums)  # these months' raw seasonals are summed `_unit_scale`d
-        scaled, exponents = _unit_scale(np.where(np.isnan(grid[overflow]), 0.0, grid[overflow]), -1)
-        means[overflow] = np.ldexp(scaled.sum(axis=-1) / counts[overflow], exponents[:, 0])
+        overflow = ~np.isfinite(sums)
+        if overflow.any():  # these months' raw seasonals are summed `_unit_scale`d
+            scaled, exponents = _unit_scale(np.where(np.isnan(grid[overflow]), 0.0, grid[overflow]), -1)
+            means[overflow] = np.ldexp(scaled.sum(axis=-1) / counts[overflow], exponents[:, 0])
         return means
     grid.sort(axis=-1)  # NaN sorts last
     counts = np.count_nonzero(~np.isnan(grid), axis=-1)[..., None]
     low = np.take_along_axis(grid, (counts - 1) // 2, axis=-1)
     high = np.take_along_axis(grid, counts // 2, axis=-1)
-    pairs = low + high
-    pairs = np.where(np.isfinite(pairs), pairs / 2.0, low / 2.0 + high / 2.0)  # halved first where the sum overflows
-    return np.where(counts % 2 == 1, low, pairs)[..., 0]
+    middles = (low + high) / 2.0
+    if not np.isfinite(middles).all():  # a middle pair whose sum overflows is halved first
+        middles = np.where(np.isfinite(middles), middles, low / 2.0 + high / 2.0)
+    return np.where(counts % 2 == 1, low, middles)[..., 0]
 
 
 def _check_positive(values: np.ndarray, start: MonthStamp) -> None:

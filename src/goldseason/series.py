@@ -30,6 +30,9 @@ _STAMP_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"[A-Za-z]{3}")
 
 
+_MISSING = object()  # the default of a field that has none
+
+
 class _Record:
     """A frozen record whose `_fields` are its annotated names, after its bases'; no method is compiled per class.
 
@@ -42,20 +45,17 @@ class _Record:
 
     def __init_subclass__(cls, eq: bool = True) -> None:
         cls._fields += tuple(name for name in cls.__dict__.get("__annotations__", ()) if name not in cls._fields)
-        cls._defaults = {name: getattr(cls, name) for name in cls._fields if hasattr(cls, name)}
+        cls._defaults = tuple(getattr(cls, name, _MISSING) for name in cls._fields)
         if not eq:
             cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
 
     def __init__(self, *args, **kwargs) -> None:
-        if kwargs or len(args) != len(self._fields):  # the fields after the positional ones: by keyword, or default
-            try:
-                args += tuple([kwargs.pop(name) if name in kwargs else self._defaults[name]
-                               for name in self._fields[len(args):]])
-            except KeyError as missing:
-                raise TypeError(f"{type(self).__name__} needs a value for the field {missing}") from None
-            if kwargs or len(args) > len(self._fields):
-                raise TypeError(f"{type(self).__name__} has the fields {self._fields}; got {args} and {kwargs}")
-        self.__dict__.update(zip(self._fields, args))
+        if kwargs or len(args) != len(self._fields):  # the fields after the positional ones: by keyword, else default
+            args += tuple(map(kwargs.pop, self._fields[len(args):], self._defaults[len(args):]))
+            if kwargs or len(args) > len(self._fields) or any(arg is _MISSING for arg in args):
+                raise TypeError(f"{type(self).__name__} takes each of the fields {self._fields} once")
+        for name, value in zip(self._fields, args):  # not through `__dict__`, which would slow every read of a field
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:
