@@ -20,7 +20,7 @@ thousands separators, no blank cells. Blank lines may only trail the data.
 from __future__ import annotations
 
 import re
-from functools import cached_property, total_ordering
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +28,7 @@ from .errors import DataError, NumericError
 
 _STAMP_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"[A-Za-z]{3}")
-
-
-_MISSING = object()  # the default of a field that has none
+_MISSING = object()  # the default of a record field that has none
 
 
 class _Record:
@@ -51,7 +49,7 @@ class _Record:
 
     def __init__(self, *args, **kwargs) -> None:
         if kwargs or len(args) != len(self._fields):  # the fields after the positional ones: by keyword, else default
-            args += tuple(map(kwargs.pop, self._fields[len(args):], self._defaults[len(args):]))
+            args = (*args, *map(kwargs.pop, self._fields[len(args):], self._defaults[len(args):]))
             if kwargs or len(args) > len(self._fields) or any(arg is _MISSING for arg in args):
                 raise TypeError(f"{type(self).__name__} takes each of the fields {self._fields} once")
         for name, value in zip(self._fields, args):  # not through `__dict__`, which would slow every read of a field
@@ -79,7 +77,6 @@ class _Record:
         return tuple(map(self.__getattribute__, self._fields))
 
 
-@total_ordering
 class MonthStamp(_Record):
     """A calendar month, ordered lexicographically by (year, month)."""
 
@@ -90,8 +87,11 @@ class MonthStamp(_Record):
         if not 1 <= self.month <= 12:
             raise DataError(f"month must be in 1..12, got {self.month}")
 
-    def __lt__(self, other):
-        return self._values() < other._values() if type(other) is MonthStamp else NotImplemented
+    def __lt__(self, other):  # `>` and `>=` are these two reflected
+        return self.index() < other.index() if type(other) is MonthStamp else NotImplemented
+
+    def __le__(self, other):
+        return self.index() <= other.index() if type(other) is MonthStamp else NotImplemented
 
     @classmethod
     def parse(cls, text: str) -> "MonthStamp":
