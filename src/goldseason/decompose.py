@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .series import (MonthStamp, PriceSeries, ReturnSeries, SeriesPanel, _read_only, _Record, _records_equal,
-                     _require_finite, _unit_scale)
+                     _require_finite, _row_blocks, _unit_scale)
 
 ADDITIVE = "additive"
 MULTIPLICATIVE = "multiplicative"
@@ -217,6 +217,7 @@ def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregat
     raw seasonals are laid out on a calendar grid, NaN where the MA is
     undefined, with a row of years per calendar month, so one sort (or one
     NaN-skipping mean) along the last axis aggregates every month of every row.
+    The grid is filled one block of rows at a time.
     """
     _check_model(model)
     _check_aggregator(aggregator)
@@ -225,14 +226,13 @@ def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregat
         raise DataError(f"need at least 24 observations, got {n}")
     if start is None:
         raise DataError("a start month is required to group by calendar month")
-    ma = _moving_average(x)
-    raws = np.full(x.shape, np.nan)
-    (np.divide if model == MULTIPLICATIVE else np.subtract)(x[:, 6:n - 6], ma, out=raws[:, 6:n - 6])
-    del ma
     slots = start.calendar_slots(n)
     grid = np.full((k, 12, len(slots)), np.nan)  # (k, 12, years)
-    grid.transpose(0, 2, 1)[:, slots] = raws
-    del raws
+    for rows, block in _row_blocks(x):
+        raws = np.full(block.shape, np.nan)
+        (np.divide if model == MULTIPLICATIVE else np.subtract)(block[:, 6:n - 6], _moving_average(block),
+                                                                out=raws[:, 6:n - 6])
+        grid[rows].transpose(0, 2, 1)[:, slots] = raws
     if aggregator == MEAN:  # a month with no raw seasonal gets NaN, and no warning as np.nanmean gives
         counts = np.count_nonzero(~np.isnan(grid), axis=-1)
         sums = np.nansum(grid, axis=-1)
@@ -338,33 +338,45 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
     The columns become the rows of a (k, n) matrix, and every statistic is
     reduced along its last axis, row by row, so a column gives the same bits
     alone or in a panel. Each stage checks its faults over all columns before
-    the next stage's result is used, as `decompose` describes.
+    the next stage's result is used, as `decompose` describes. The stages
+    run over blocks of rows, so besides `fitted`, `irregular` and the
+    calendar grid of the raw seasonals, no array is larger than a block.
     """
-    x = np.ascontiguousarray(np.asarray(data, dtype=float).T)
-    n = x.shape[1]
+    x = np.asarray(data, dtype=float).T  # only read: it may be the caller's array
+    k, n = x.shape
+    multiplicative = model == MULTIPLICATIVE
     with np.errstate(all="ignore"):  # each stage's faults are raised before the next stage is used
         raw = _raw_seasonals(x, start, model, aggregator)
-        if model == MULTIPLICATIVE:
+        if multiplicative:
             _check_positive(x, start)
         indices = _normalize(model, raw)
         _check_normalized(model, indices)
         slots = start.calendar_slots(n)
-        per_point = np.broadcast_to(indices[:, None, :], indices.shape[:1] + slots.shape)[:, slots]
-        deseasonalized = x / per_point if model == MULTIPLICATIVE else x - per_point
-        _check_finite("deseasonalized value", deseasonalized, start, lambda: {"value": x, "seasonal index": per_point})
-        trend = np.stack(_fit_trend_rows(deseasonalized))  # intercepts, slopes
-        del deseasonalized
+
+        def per_point(rows):  # the seasonal index of every month of these rows
+            block = indices[rows, None, :]
+            return np.broadcast_to(block, block.shape[:1] + slots.shape)[:, slots]
+
+        trend = np.empty((2, k))  # intercepts, slopes
+        for rows, block in _row_blocks(x):
+            seasonal = per_point(rows)
+            deseasonalized = block / seasonal if multiplicative else block - seasonal
+            _check_finite("deseasonalized value", deseasonalized, start,
+                          lambda: {"value": block, "seasonal index": seasonal})
+            trend[:, rows] = _fit_trend_rows(deseasonalized)
         _check_trend(trend.ravel().tolist())
         intercepts, slopes = trend[:, :, None]
         t = np.arange(1, n + 1, dtype=float)
-        fitted = slopes * t
-        fitted += intercepts  # the trend values, then the fitted values in place
-        (np.multiply if model == MULTIPLICATIVE else np.add)(fitted, per_point, out=fitted)
-        _check_finite("fitted value", fitted, start,
-                      lambda: {"trend": intercepts + slopes * t, "seasonal index": per_point})
-        del per_point
-        accuracy = np.stack(_error_rows(x, fitted))
-        irregular = x / fitted if model == MULTIPLICATIVE else x - fitted
+        fitted, irregular, accuracy = np.empty((k, n)), np.empty((k, n)), np.empty((3, k))
+        for rows, block in _row_blocks(x):
+            seasonal, values = per_point(rows), fitted[rows]
+            np.multiply(slopes[rows], t, out=values)
+            values += intercepts[rows]  # the trend values, then the fitted values in place
+            (np.multiply if multiplicative else np.add)(values, seasonal, out=values)
+            _check_finite("fitted value", values, start,
+                          lambda: {"trend": intercepts[rows] + slopes[rows] * t, "seasonal index": seasonal})
+            accuracy[:, rows] = _error_rows(block, values)
+            (np.divide if multiplicative else np.subtract)(block, values, out=irregular[rows])
     fitted.flags.writeable = irregular.flags.writeable = False
     return PanelDecomposition(model, indices.T, trend, accuracy, fitted.T, irregular.T)
 

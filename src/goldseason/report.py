@@ -8,7 +8,6 @@ be compared byte for byte.
 
 from __future__ import annotations
 
-import json
 import math
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -26,7 +25,7 @@ from .decompose import (
     seasonal_deviation_percent,
 )
 from .errors import DataError
-from .series import MonthStamp, SeriesPanel, _Record
+from .series import _BLOCK, MonthStamp, SeriesPanel, _Record, _row_blocks
 from .stats import (
     PRICES,
     RETURNS,
@@ -252,40 +251,29 @@ def render_json(analysis: PanelAnalysis) -> str:
 
 
 def json_pieces(analysis: PanelAnalysis) -> Iterator[str]:
-    """The text of `render_json` in pieces, in order; each matrix is formatted once the pieces before it are taken."""
+    """The text of `render_json` in pieces, in order; each section is formatted once the pieces before it are taken."""
     writer, sections = _JsonWriter(), analysis.sections
-    several = len(sections) > 1
-    items = [("group", json.dumps(analysis.group))]
+    several, dumps = len(sections) > 1, writer.dumps
+    items = [("group", dumps(analysis.group))]
     if several:
         start, end = analysis.span
-        items.append(("span", _json_object([("start", f'"{start}"'), ("end", f'"{end}"')], 2)))
+        items.append(("span", writer.object([("start", f'"{start}"'), ("end", f'"{end}"')], 2)))
     if RETURNS_SECTION in sections or CORRELATIONS_SECTION in sections:
-        items.append(("alpha", json.dumps(analysis.alpha)))
+        items.append(("alpha", dumps(analysis.alpha)))
     if DECOMPOSITION_SECTION in sections:
-        items.append(("model", json.dumps(analysis.model)))
+        items.append(("model", dumps(analysis.model)))
         if several:
             items.append(("period", "12"))
-        items.append(("aggregator", json.dumps(analysis.aggregator)))
+        items.append(("aggregator", dumps(analysis.aggregator)))
     if RETURNS_SECTION in sections:
         items.append(("returns", writer.returns(analysis.monthly, analysis.currencies)))
     if CORRELATIONS_SECTION in sections:
         matrices = [(PRICES, analysis.price_correlation), (RETURNS, analysis.return_correlation)]
-        items.append(("correlations", _json_object([(basis, writer.correlation(m)) for basis, m in matrices], 2)))
+        items.append(("correlations", writer.object([(basis, writer.correlation(m)) for basis, m in matrices], 2)))
     if DECOMPOSITION_SECTION in sections:
         items.append(("decomposition", writer.decomposition(analysis.decomposition, analysis.currencies)))
-        items.append(("signs", _json_list(map(json.dumps, analysis.signs), 2)))
-    return _json_object(items, 1, "}\n")
-
-
-def _json_object(items, level: int, close: str = "}") -> Iterator[str]:
-    """The pieces of a non-empty JSON object of (key, text or iterable of pieces) pairs, keys at depth `level`."""
-    inner = "\n" + "  " * level
-    separator = "{" + inner
-    for key, value in items:
-        yield separator + json.encoder.encode_basestring_ascii(key) + ": "
-        yield from (value,) if isinstance(value, str) else value
-        separator = "," + inner
-    yield inner[:-2] + close
+        items.append(("signs", _json_list(map(dumps, analysis.signs), 2)))
+    return writer.object(items, 1, "}\n")
 
 
 def _json_list(texts, level: int) -> str:
@@ -297,60 +285,79 @@ def _json_list(texts, level: int) -> str:
 class _JsonWriter:
     """The per-currency sections and the matrices of `render_json`, in pieces of the bytes `json.dumps` gives them.
 
-    Values are formatted by one `json.dumps` call per array, and fill the
-    slots of one record template per section. A k x k matrix is written
-    straight from its cells, and each distinct bit pattern in it is
+    Values are formatted by one `json.dumps` call per run of `_BLOCK` values,
+    and fill the slots of one record template per section. A k x k matrix is
+    written straight from its cells, and each distinct bit pattern in it is
     formatted once.
     """
 
+    def __init__(self) -> None:
+        import json  # here, not with the module: a markdown report never loads it
+
+        self.dumps, self.key = json.dumps, json.encoder.encode_basestring_ascii
+
+    def object(self, items, level: int, close: str = "}") -> Iterator[str]:
+        """The pieces of a non-empty JSON object of (key, text or iterable of pieces) pairs, keys at depth `level`."""
+        inner = "\n" + "  " * level
+        separator = "{" + inner
+        for key, value in items:
+            yield separator + self.key(key) + ": "
+            yield from (value,) if isinstance(value, str) else value
+            separator = "," + inner
+        yield inner[:-2] + close
+
     def texts(self, array: np.ndarray) -> np.ndarray:
         """The text of each value of a non-empty array, in an object array of its shape."""
-        text = json.dumps(array.ravel().tolist(), separators=("\n", ": "))
-        return np.array(text[1:-1].split("\n"), dtype=object).reshape(array.shape)
+        values, texts = array.ravel(), []
+        for first in range(0, values.size, _BLOCK):
+            texts += self.dumps(values[first:first + _BLOCK].tolist(), separators=("\n", ": "))[1:-1].split("\n")
+        return np.array(texts, dtype=object).reshape(array.shape)
 
     def returns(self, tests: MonthlyTests, codes: Sequence[str]) -> Iterator[str]:
         """The returns section: per currency, its twelve calendar-month records and the overall one."""
         record = [(name, "%s") for name in ("mean", "n", "t_stat", "p_value", "significant")]
-        months = _json_list(["".join(_json_object([("month", str(month))] + record, 5)) for month in range(1, 13)], 4)
-        overall = _json_object([("month", "null")] + record, 4)
-        template = "".join(_json_object([("per_month", months), ("overall", overall)], 3))
+        months = _json_list(["".join(self.object([("month", str(month))] + record, 5)) for month in range(1, 13)], 4)
+        overall = self.object([("month", "null")] + record, 4)
+        template = "".join(self.object([("per_month", months), ("overall", overall)], 3))
         cells = np.empty((5, 13, len(codes)), dtype=object)
         cells[0], cells[2], cells[3] = self.texts(np.stack((tests.means, tests.t_stats, tests.p_values)))
         cells[1] = tests.counts.astype(str)[:, None]
         cells[4] = np.where(tests.p_values < tests.alpha, "true", "false")
         rows = cells.transpose(2, 1, 0).reshape(len(codes), -1).tolist()
-        return _json_object([(code, template % tuple(row)) for code, row in zip(codes, rows)], 2)
+        yield from self.object(((code, template % tuple(row)) for code, row in zip(codes, rows)), 2)
 
     def correlation(self, matrix: CorrelationMatrix | None) -> str | Iterator[str]:
         if matrix is None:
             return "null"
-        items = [("basis", json.dumps(matrix.basis)), ("labels", _json_list(map(json.dumps, matrix.labels), 4)),
-                 ("n", json.dumps(matrix.n))]
+        items = [("basis", self.dumps(matrix.basis)), ("labels", _json_list(map(self.dumps, matrix.labels), 4)),
+                 ("n", self.dumps(matrix.n))]
         items += [(name, self.matrix(getattr(matrix, name), "\n" + "  " * 4))
                   for name in ("values", "p_values", "significant")]
-        return _json_object(items, 3)
+        return self.object(items, 3)
 
     def matrix(self, array: np.ndarray, inner: str) -> Iterator[str]:
         """The pieces, one per row, of a non-empty 2-D array whose rows' items sit on lines indented like `inner`."""
         distinct, cells = np.unique(array.view(f"u{array.itemsize}").ravel(), return_inverse=True)
         texts = self.texts(distinct.view(array.dtype))
         cell_separator, separator = "," + inner + "  ", "[" + inner
-        for row in texts[cells.reshape(array.shape)].tolist():
-            yield separator + "[" + inner + "  " + cell_separator.join(row) + inner + "]"
-            separator = "," + inner
+        for _, rows in _row_blocks(cells.reshape(array.shape)):
+            for row in texts[rows].tolist():
+                yield separator + "[" + inner + "  " + cell_separator.join(row) + inner + "]"
+                separator = "," + inner
         yield inner[:-2] + "]"
 
     def decomposition(self, decomposition: PanelDecomposition, codes: Sequence[str]) -> Iterator[str]:
         """The decomposition section: per currency, its indices and deviations, trend and accuracy metrics."""
         slots = _json_list(["%s"] * 12, 4)
-        template = "".join(_json_object([("model", "%s"), ("indices", slots), ("deviation_percent", slots)]
+        template = "".join(self.object([("model", "%s"), ("indices", slots), ("deviation_percent", slots)]
                                         + [(name, "%s") for name in ("constant", "slope", "mape", "mad", "msd")], 3))
         model, indices, accuracy = decomposition.model, decomposition.indices, decomposition.accuracy
         values = self.texts(np.concatenate((indices, _deviation_percent(model, indices), decomposition.trend,
                                             accuracy)))
         values[-3:][np.isnan(accuracy)] = "null"
-        columns = np.concatenate((np.full((1, len(codes)), json.dumps(model), dtype=object), values))
-        return _json_object([(code, template % tuple(column)) for code, column in zip(codes, columns.T.tolist())], 2)
+        columns = np.concatenate((np.full((1, len(codes)), self.dumps(model), dtype=object), values))
+        yield from self.object(((code, template % tuple(column)) for code, column in zip(codes, columns.T.tolist())),
+                                2)
 
 
 # -------------------------------------------------------------- chart data

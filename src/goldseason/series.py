@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import DataError, NumericError
 _STAMP_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"[A-Za-z]{3}")
 _MISSING = object()  # the default of a record field that has none
+_BLOCK = 1 << 14  # elements a transient block of a panel-wide computation may hold (128 KiB of doubles)
 
 
 class _Record:
@@ -155,6 +157,17 @@ def _unit_scale(values: np.ndarray, axis: int, out: np.ndarray | None = None) ->
     """
     _, exponents = np.frexp(np.maximum(values.max(axis=axis, keepdims=True), -values.min(axis=axis, keepdims=True)))
     return np.ldexp(values, -exponents, out=out), exponents
+
+
+def _row_blocks(x: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """Runs of consecutive rows of a 2-D array, each of at most `_BLOCK` elements or else one row, as (slice, rows).
+
+    The rows come C-contiguous, copied unless they already are, so every reduction along them sees one layout.
+    """
+    step = max(1, _BLOCK // x.shape[1])
+    for first in range(0, x.shape[0], step):
+        rows = slice(first, first + step)
+        yield rows, np.ascontiguousarray(x[rows])
 
 
 def _records_equal(self, other) -> bool:
@@ -317,14 +330,15 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     body = lines[1:]
     if not body:
         raise DataError("document has a header but no data rows")
-    stamps, _, rows = zip(*[line.partition(",") for line in body])  # each line split once: its stamp, its cells
     n, k = len(body), len(codes)
-    start = MonthStamp.parse(stamps[0]) if body[0].count(",") == k else None  # a bad first stamp raises as below
-    # the whole stamp column against the texts of the months that follow the first, in one comparison; then numpy's C
-    # reader takes the cells, unless a line is blank, which it would skip, and raises on a line with another cell count
-    fast = start is not None and list(stamps) == _stamp_texts(start, n)
+    start = MonthStamp.parse(body[0].partition(",")[0]) if body[0].count(",") == k else None  # else raises as below
+    # the stamp column against the texts of the months that follow the first, in one comparison; then numpy's C reader
+    # takes the cells as each line is reached, unless a line's cells are blank, which it would skip, and raises on a
+    # line with another cell count
+    fast = (start is not None and [line[:8] for line in body] == _stamp_texts(start, n)
+            and all(len(line.rstrip()) > 8 for line in body))
     try:
-        prices = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2) if fast and all(map(str.strip, rows)) else None
+        prices = np.loadtxt((line[8:] for line in body), delimiter=",", comments=None, ndmin=2) if fast else None
     except ValueError:
         prices = None
     if prices is None or prices.shape != (n, k) or not (np.isfinite(prices) & (prices > 0.0)).all():
@@ -362,9 +376,9 @@ def _parse_rows(body: list[str], codes: list[str]) -> np.ndarray:
 
 
 def _stamp_texts(start: MonthStamp, n: int) -> list[str]:
-    """`str` of the n months from start; the list stops short after 9999-12, which no stamp text can follow."""
+    """`str` of the n months from start, each with a comma; the list stops short after 9999-12, as no stamp follows."""
     years = [f"{year:04d}" for year in range(start.year, min(start.year + (start.month + n + 10) // 12, 10000))]
-    months = [f"-{month:02d}" for month in range(1, 13)]
+    months = [f"-{month:02d}," for month in range(1, 13)]
     return [year + month for year in years for month in months][start.month - 1:start.month - 1 + n]
 
 

@@ -26,7 +26,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import MonthStamp, ReturnSeries, SeriesPanel, _read_only, _Record, _require_finite, _unit_scale
+from .series import _BLOCK, MonthStamp, ReturnSeries, SeriesPanel, _read_only, _Record, _require_finite, _unit_scale
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -71,7 +71,7 @@ class MonthlyReturnSummary(_Record):
 
 _CF_TOLERANCE = 1e-13  # a step that moves the continued fraction by less than this ends it
 _CF_STEPS = 1024  # steps an element may take before it counts as not converging
-_CF_CHUNK = 32  # steps whose coefficients are gathered in one go
+_CF_CHUNK = 32  # steps whose coefficients are gathered in one go, if `_BLOCK` allows
 _CF_CHECK = 4  # steps between convergence checks
 _LOG_SQRT_PI = 0.5 * math.log(math.pi)  # lgamma(1/2)
 
@@ -89,15 +89,15 @@ def _log_gamma_ratio(a: float) -> float:
     return 0.5 * math.log(a) - (1.0 / 8.0 - r * (1.0 / 192.0 - r * (1.0 / 640.0 - r * 17.0 / 14336.0))) / a
 
 
-def _fraction_coefficients(a: np.ndarray, b: np.ndarray, first: int):
-    """Numerators and denominator slopes of steps first.. of the continued fraction for I_z(a, b).
+def _fraction_coefficients(a: np.ndarray, b: np.ndarray, first: int, steps: int):
+    """Numerators and denominator slopes of steps first..first + steps - 1 of the continued fraction for I_z(a, b).
 
     Numerical Recipes writes I_z(a, b) = front / (a (1 + d1/(1 + d2/(1 + ...))))
     with d_j = c_j z. Its odd part takes the terms in pairs: step k has
     numerator -d_{2k-1} d_{2k} = numerator * z^2 and denominator
     1 + d_{2k} + d_{2k+1} = 1 + slope * z. Rows are steps, columns (a, b) pairs.
     """
-    k = np.arange(first - 1, first + _CF_CHUNK, dtype=float)[:, None]
+    k = np.arange(first - 1, first + steps, dtype=float)[:, None]
     c_odd = -(a + k) * (a + b + k) / ((a + 2.0 * k) * (a + 2.0 * k + 1.0))  # c_{2k+1}
     k = k[1:]
     c_even = k * (b - k) / ((a + 2.0 * k - 1.0) * (a + 2.0 * k))
@@ -110,18 +110,23 @@ def _continued_fraction(a: np.ndarray, b: np.ndarray, pair: np.ndarray, z: np.nd
     Lentz's C and E = 1/D follow one recurrence, X = denominator + numerator / X,
     and each step multiplies the value by C/E. Every `_CF_CHECK` steps, an
     element whose last step moved it by less than the tolerance stops, and
-    its value is fixed then, whatever the other elements still do.
+    its value is fixed then, whatever the other elements still do. The
+    coefficients of a run of steps are gathered in one go: the largest power
+    of two from `_CF_CHECK` to `_CF_CHUNK` steps whose block fits `_BLOCK`.
     """
+    steps = _CF_CHUNK
+    while steps > _CF_CHECK and steps * z.size > _BLOCK:
+        steps //= 2
     z2 = z * z
     value = 1.0 - ((a + b) / (a + 1.0))[pair] * z  # 1 + d1
     c, e = value, np.full_like(z, np.inf)  # E = 1/D, and D = 0 before the first step
     result = np.empty_like(z)
     live = np.ones(z.size, dtype=bool)  # stopped elements step on; their results are written
-    for first in range(1, _CF_STEPS + 1, _CF_CHUNK):
-        numerator, slope = _fraction_coefficients(a, b, first)
+    for first in range(1, _CF_STEPS + 1, steps):
+        numerator, slope = _fraction_coefficients(a, b, first, steps)
         numerator = numerator[:, pair] * z2
         denominator = 1.0 + slope[:, pair] * z
-        for step in range(_CF_CHUNK):
+        for step in range(steps):
             c = denominator[step] + numerator[step] / c
             e = denominator[step] + numerator[step] / e
             delta = c / e
@@ -274,6 +279,8 @@ def correlation_significance(r: float, n: int, alpha: float = 0.05) -> Correlati
         raise DataError(f"correlation {r} outside [-1, 1]")
     if n < 3:
         raise DataError(f"significance test needs n >= 3, got {n}")
+    if n > 2 ** 53:  # past the counts a double holds exactly; an int past the largest double would not convert
+        raise DataError(f"significance test needs n <= 2**53, got {n}")
     t_stat, p = _correlation_t_p(np.clip(r, -1.0, 1.0), n)
     return CorrelationTest(float(t_stat), float(p), bool(p < alpha))
 
@@ -319,12 +326,15 @@ def monthly_tests(returns: np.ndarray, start: MonthStamp, alpha: float) -> Month
     """
     _check_alpha(alpha)
     _require_finite(returns, "returns")
-    values = np.ascontiguousarray(returns.T)
-    slots = start.calendar_slots(values.shape[1])
-    grid = np.zeros(values.shape[:1] + slots.shape)
-    grid[:, slots] = values
-    buckets = zip(_mean_ttests(grid, slots), _mean_ttests(values[:, :, None], np.ones((values.shape[1], 1), bool)))
-    means, counts, t_stats = (np.concatenate(pair, axis=-1) for pair in buckets)
+    n, k = returns.shape
+    # the overall record from the series in rows, then the months from a grid; each copy is dropped after its pass
+    overall = _mean_ttests(np.ascontiguousarray(returns.T)[:, :, None], np.ones((n, 1), bool))
+    slots = start.calendar_slots(n)
+    grid = np.zeros((k,) + slots.shape)
+    grid[:, slots] = returns.T
+    months = _mean_ttests(grid, slots)
+    del grid
+    means, counts, t_stats = (np.concatenate(pair, axis=-1) for pair in zip(months, overall))
     p_values = _two_sided_p(t_stats, counts - 1)
     undefined = np.isnan(p_values)
     if undefined.any():
@@ -390,6 +400,7 @@ def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0
     _require_finite(data, "correlation input")
     n, k = data.shape
     r = _pearson_r(data)
+    del data  # before the p-value pass
     _, p = _correlation_t_p(r, n)
 
     upper = np.triu_indices(k, 1)

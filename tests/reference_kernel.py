@@ -2,9 +2,10 @@
 
 `reference_decompose_columns` runs the same ufuncs in the same order as
 `goldseason.decompose._decompose_columns`, with every intermediate in an
-array of its own. The package's kernel may reuse buffers and write in
-place, but each reduction must see the same shapes and memory layout, so
-it must give the same bits and raise the same error for any panel.
+array of its own, over all rows at once. The package's kernel may reuse
+buffers, write in place and work in blocks of rows, but each reduction must
+see the same memory layout along its axis, so it must give the same bits
+and raise the same error for any panel.
 """
 
 import numpy as np

@@ -2,8 +2,8 @@
 
 Values are drawn from 0, +-5e-324, +-1e-300, +-1e155, +-1.7e308, +-inf and NaN, mixed with any float, in
 lists of up to 60 values, and every call runs with warnings as errors. The NaN accuracy metrics of a decomposition
-are the one documented exception. Functions documented to reject a value that is not finite must raise
-`DataError` for one.
+are documented exceptions, as are the NaN ends of a centered moving average and the infinite t of a correlation of
++-1. Functions documented to reject a value that is not finite must raise `DataError` for one.
 """
 
 import math
@@ -23,11 +23,15 @@ from goldseason import (
     DataError,
     GoldseasonError,
     MonthStamp,
+    PriceSeries,
     ReturnSeries,
     SeasonalIndices,
     SeriesPanel,
     accuracy_metrics,
+    centered_ma,
     correlation_matrix,
+    correlation_significance,
+    cumulative_growth,
     decompose,
     fit_trend,
     monthly_mean_returns,
@@ -35,6 +39,7 @@ from goldseason import (
     pearson,
     seasonal_deviation_percent,
     seasonal_indices,
+    to_returns,
 )
 from goldseason.stats import PRICES, RETURNS
 
@@ -175,3 +180,36 @@ def test_seasonal_indices(values, start, model, aggregator):
         assert "from_values" not in str(result)
     else:
         assert finite(result.values), result
+
+
+@given(samples)
+@settings(max_examples=300)
+def test_centered_ma(values):
+    result = outcome(centered_ma, values)
+    check(result, values)
+    if not isinstance(result, GoldseasonError):
+        assert finite(result[6:-6]) and np.isnan(np.r_[result[:6], result[-6:]]).all(), result
+
+
+@given(numbers, st.integers(), numbers)
+@example(0.5, 10 ** 400, 0.05)  # n past the largest double raised OverflowError
+@settings(max_examples=300)
+def test_correlation_significance(r, n, alpha):
+    result = outcome(correlation_significance, r, n, alpha)
+    check(result, [r], "p_value")
+    if not isinstance(result, GoldseasonError):
+        assert finite(result.t_stat) or abs(r) >= 1.0, result
+
+
+@given(samples)
+@settings(max_examples=300)
+def test_cumulative_growth(values):
+    result = outcome(lambda: cumulative_growth(PriceSeries("USD", MonthStamp(2000, 1), values)))
+    assert isinstance(result, GoldseasonError) or finite(result), result
+
+
+@given(samples)
+@settings(max_examples=300)
+def test_to_returns(values):
+    result = outcome(lambda: to_returns(PriceSeries("USD", MonthStamp(2000, 1), values)))
+    assert isinstance(result, GoldseasonError) or finite(result.values()), result
