@@ -351,15 +351,10 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
             _check_positive(x, start)
         indices = _normalize(model, raw)
         _check_normalized(model, indices)
-        slots = start.calendar_slots(n)
-
-        def per_point(rows):  # the seasonal index of every month of these rows
-            block = indices[rows, None, :]
-            return np.broadcast_to(block, block.shape[:1] + slots.shape)[:, slots]
-
+        months = start.calendar_slots(n).nonzero()[1]  # the calendar month (column of `indices`) of each value
         trend = np.empty((2, k))  # intercepts, slopes
         for rows, block in _row_blocks(x):
-            seasonal = per_point(rows)
+            seasonal = indices[rows][:, months]
             deseasonalized = block / seasonal if multiplicative else block - seasonal
             _check_finite("deseasonalized value", deseasonalized, start,
                           lambda: {"value": block, "seasonal index": seasonal})
@@ -369,7 +364,7 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
         t = np.arange(1, n + 1, dtype=float)
         fitted, irregular, accuracy = np.empty((k, n)), np.empty((k, n)), np.empty((3, k))
         for rows, block in _row_blocks(x):
-            seasonal, values = per_point(rows), fitted[rows]
+            seasonal, values = indices[rows][:, months], fitted[rows]
             np.multiply(slopes[rows], t, out=values)
             values += intercepts[rows]  # the trend values, then the fitted values in place
             (np.multiply if multiplicative else np.add)(values, seasonal, out=values)
