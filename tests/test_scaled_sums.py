@@ -8,7 +8,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -80,13 +80,15 @@ def test_normalize_keeps_the_bits(model, k, data):
 @given(models, st.lists(finite, min_size=12, max_size=12), st.integers(0, 11),
        st.floats(min_value=-1e-8, max_value=1e-8))
 @settings(max_examples=500)
+@example(model=ADDITIVE, raw=[0.0] * 9 + [1.797693134862314e308, -1.797693121025389e308, 0.0], month=10,
+         nudge=-7.055625687003889e-09)  # the nudge overflows an index next to the largest double
 def test_index_check_keeps_its_verdict_away_from_the_tolerance(model, raw, month, nudge):
     """Indices normalized, then one nudged by up to 1e-8 of the largest: accepted or rejected as before, message too."""
     with np.errstate(over="ignore"):
         row = outcome(reference.normalize, model, np.array(raw))
-    assume(isinstance(row, np.ndarray) and np.isfinite(row).all())
-    scale = max(1.0, float(np.abs(row).max()))
-    row[month] += nudge * scale
+        assume(isinstance(row, np.ndarray) and np.isfinite(row).all())
+        scale = max(1.0, float(np.abs(row).max()))
+        row[month] += nudge * scale
     values = row.tolist()
     assume(all(map(math.isfinite, values)) and math.isfinite(sum(values)))  # the old check sums without scaling
     exact = abs(sum(map(Fraction, values)) / 12 - (1 if model == MULTIPLICATIVE else 0))
