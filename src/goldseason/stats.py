@@ -26,7 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import _BLOCK, MonthStamp, ReturnSeries, SeriesPanel, _read_only, _Record, _require_finite, _unit_scale
+from .series import (_BLOCK, MonthStamp, ReturnSeries, SeriesPanel, _read_only, _Record, _require_finite, _row_blocks,
+                     _unit_scale)
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -232,24 +233,24 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
 
 
 def _pearson_r(data: np.ndarray) -> np.ndarray:
-    """Pearson correlations of the columns of an (n, k) matrix, upper triangle in `triu_indices` order.
+    """Pearson correlations of the columns of an (n, k) matrix, as a symmetric k x k matrix with a unit diagonal.
 
     Columns are `_unit_scale`d before they are centered, and again after, which
     changes no r but keeps every sum finite for values up to the largest double.
     """
-    n, k = data.shape
+    n = data.shape[0]
     if n < 3:
         raise DataError(f"correlation needs at least 3 pairs, got {n}")
     deviations, _ = _unit_scale(data, 0)
     deviations -= deviations.mean(axis=0)
     _unit_scale(deviations, 0, out=deviations)
-    products = deviations.T @ deviations
-    sums_of_squares = products.diagonal()
+    r = deviations.T @ deviations  # exactly symmetric: numpy forms one triangle of a.T @ a (BLAS syrk) and mirrors it
+    sums_of_squares = r.diagonal().copy()
     if (sums_of_squares == 0.0).any():
         raise NumericError("constant input: correlation undefined")
-    upper = np.triu_indices(k, 1)
-    r = products[upper] / np.sqrt(sums_of_squares[upper[0]] * sums_of_squares[upper[1]])
-    return np.clip(r, -1.0, 1.0)
+    r /= np.sqrt(np.multiply.outer(sums_of_squares, sums_of_squares))
+    np.fill_diagonal(r, 1.0)
+    return np.clip(r, -1.0, 1.0, out=r)
 
 
 def _correlation_t_p(r, n: int):
@@ -267,7 +268,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
     if ax.size != ay.size:
         raise DataError(f"length mismatch: {ax.size} vs {ay.size}")
     _require_finite(np.concatenate((ax, ay)), "correlation input")
-    return float(_pearson_r(np.column_stack((ax, ay)))[0])
+    return float(_pearson_r(np.column_stack((ax, ay)))[0, 1])
 
 
 def correlation_significance(r: float, n: int, alpha: float = 0.05) -> CorrelationTest:
@@ -398,17 +399,12 @@ def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0
         raise DataError("correlation matrix needs at least 2 series")
     data = panel.prices if basis == PRICES else panel.returns()
     _require_finite(data, "correlation input")
-    n, k = data.shape
-    r = _pearson_r(data)
+    n = data.shape[0]
+    values = _pearson_r(data)
     del data  # before the p-value pass
-    _, p = _correlation_t_p(r, n)
-
-    upper = np.triu_indices(k, 1)
-    values = np.eye(k)
-    p_values = np.zeros((k, k))
-    for matrix, cells in ((values, r), (p_values, p)):
-        matrix[upper] = cells
-        matrix.T[upper] = cells
+    p_values = np.empty_like(values)
+    for rows, block in _row_blocks(values):
+        p_values[rows] = _correlation_t_p(block, n)[1]
     significant = p_values < alpha
     for matrix in (values, p_values, significant):
         matrix.flags.writeable = False

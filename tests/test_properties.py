@@ -432,6 +432,22 @@ def test_permuting_columns_permutes_every_output(seed, start, n, data):
         np.testing.assert_array_equal(got.significant, want.significant[index])
 
 
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1), st.integers(min_value=3, max_value=60), st.data())
+@settings(max_examples=60)
+def test_correlation_matrices_equal_their_transposes_bit_for_bit(seed, n, data):
+    """Columns scaled from 1e-300 to 1e300: every matrix is its own transpose, with r = 1 and p = 0 on the diagonal."""
+    k = data.draw(st.integers(min_value=2, max_value=12))
+    exponents = data.draw(st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=k, max_size=k))
+    prices = random_prices(seed, n, k) * 10.0 ** np.array(exponents)
+    panel = SeriesPanel("g", MonthStamp(2000, 1), tuple(c * 3 for c in "ABCDEFGHIJKL")[:k], prices)
+    for basis in (PRICES, RETURNS) if n > 3 else (PRICES,):  # 3 prices give 2 returns, too few to correlate
+        matrix = correlation_matrix(panel, basis)
+        for array in (matrix.values, matrix.p_values, matrix.significant):
+            assert array.tobytes() == array.T.copy().tobytes()
+        assert np.diagonal(matrix.values).tobytes() == np.ones(k).tobytes()
+        assert np.diagonal(matrix.p_values).tobytes() == np.zeros(k).tobytes()
+
+
 def raised_by(panel: SeriesPanel, sections) -> tuple[type | None, str]:
     try:
         analyze_panel(panel, ReportConfig(), sections)
