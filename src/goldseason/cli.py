@@ -6,7 +6,7 @@ seasonal decomposition with the consensus sign column), ``report`` (all of
 the above, optionally writing chart CSVs), and ``synth`` (synthetic
 fixture generation).
 
-Exit codes: 0 success, 1 usage error, 2 data validation error,
+Exit codes: 0 success, 1 usage error or output fault, 2 data validation error,
 3 numeric failure on degenerate input.
 """
 
@@ -103,7 +103,7 @@ def _parse_stamp_flag(value: str | None, flag: str) -> MonthStamp | None:
 def _load_panel(args) -> SeriesPanel:
     path = Path(args.input)
     if not path.is_file():
-        raise UsageError(f"input file not found: {path}")
+        raise UsageError(f"input is not a file: {path}" if path.exists() else f"input file not found: {path}")
     try:
         text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -116,6 +116,8 @@ def _load_panel(args) -> SeriesPanel:
 
 def _emit(pieces: Iterable[str], out: str | None) -> None:
     if out is None:
+        if sys.stdout is None:  # the process started with its standard output closed
+            raise OSError("standard output is closed")
         sys.stdout.writelines(pieces)
     else:
         with open(out, "w", encoding="utf-8") as stream:

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import goldseason
 from goldseason import (
     AccuracyMetrics,
     DecompositionResult,
@@ -361,6 +366,42 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "usage:" in err
         assert "not found" in err
+
+    @staticmethod
+    def _child(argv, stdout=subprocess.DEVNULL, shell_redirect=""):
+        """`goldseason <argv>` in a fresh interpreter, its stdout `stdout` or else the one `shell_redirect` makes."""
+        env = dict(os.environ, PYTHONPATH=str(Path(goldseason.__file__).resolve().parents[1]))
+        command = [sys.executable, "-m", "goldseason.cli", *argv]
+        if shell_redirect:
+            command = ["/bin/sh", "-c", f'exec "$@" {shell_redirect}', "sh", *command]
+        return subprocess.run(command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+
+    def test_directory_input_is_usage_error_naming_it(self, tmp_path):
+        proc = self._child(["report", "--input", str(tmp_path)])
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert [line for line in proc.stderr.splitlines() if not line.startswith("usage:")] == [
+            f"error: input is not a file: {tmp_path}"]
+
+    @pytest.mark.parametrize("sink", ["closed", "full", "broken pipe"])
+    def test_unwritable_stdout_exits_1_with_one_error_line(self, panel_csv, sink):
+        argv = ["report", "--format", "json", "--input", str(panel_csv)]
+        if sink == "closed":
+            proc = self._child(argv, shell_redirect=">&-")
+        elif sink == "full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            proc = self._child(argv, shell_redirect="> /dev/full")
+        else:
+            read_end, write_end = os.pipe()
+            os.close(read_end)
+            try:
+                proc = self._child(argv, stdout=write_end)
+            finally:
+                os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli([]) == 1
