@@ -58,7 +58,6 @@ from .stats import (
     one_sample_ttest,
     pearson,
 )
-from .synth import GeneratorSpec, generate_series
 
 __version__ = "0.1.0"
 
@@ -109,3 +108,12 @@ __all__ = [
     "slice_span",
     "to_returns",
 ]
+
+
+def __getattr__(name: str):
+    """`GeneratorSpec` and `generate_series` of `goldseason.synth`, which is loaded on first use, not for a report."""
+    if name in ("GeneratorSpec", "generate_series"):
+        from . import synth
+
+        return getattr(synth, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

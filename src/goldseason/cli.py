@@ -30,12 +30,12 @@ from .report import (
     RETURNS_SECTION,
     ReportConfig,
     _write_chart,
+    _write_text,
     analyze_panel,
     json_pieces,
     render_markdown,
 )
 from .series import MonthStamp, SeriesPanel, parse_panel_csv, render_panel_csv, slice_span
-from .synth import GeneratorSpec, generate_series
 
 
 class UsageError(GoldseasonError):
@@ -104,11 +104,7 @@ def _load_panel(args) -> SeriesPanel:
     path = Path(args.input)
     if not path.is_file():
         raise UsageError(f"input is not a file: {path}" if path.exists() else f"input file not found: {path}")
-    try:
-        text = path.read_bytes().decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
-    panel = parse_panel_csv(text, args.group)
+    panel = parse_panel_csv(path, args.group)
     start = _parse_stamp_flag(args.start, "--start") or panel.start
     end = _parse_stamp_flag(args.end, "--end") or panel.end
     return slice_span(panel, start, end)
@@ -120,8 +116,7 @@ def _emit(pieces: Iterable[str], out: str | None) -> None:
             raise OSError("standard output is closed")
         sys.stdout.writelines(pieces)
     else:
-        with open(out, "w", encoding="utf-8") as stream:
-            stream.writelines(pieces)
+        _write_text(out, pieces)
 
 
 # The analysis sections each subcommand computes and prints.
@@ -149,6 +144,8 @@ def _cmd_analyze(args) -> Iterable[str]:
 
 
 def _cmd_synth(args) -> Iterable[str]:
+    from .synth import GeneratorSpec, generate_series  # here, not with the module: a report never loads it
+
     parts = args.indices.split(",")
     if len(parts) != 12:
         raise UsageError(f"--indices needs 12 comma-separated values, got {len(parts)}")

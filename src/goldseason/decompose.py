@@ -154,29 +154,58 @@ class PanelDecomposition(_Record, eq=False):
     """Every column of a panel decomposed in one pass, as read-only arrays with one column per series.
 
     `indices` is (12, k), `trend` (2, k): intercepts, slopes, and `accuracy`
-    (3, k): MAPE, MAD, MSD, NaN where undefined; `fitted` and `irregular` are
-    (months x columns). `results` builds the per-column records.
+    (3, k): MAPE, MAD, MSD, NaN where undefined; `data` is the decomposed
+    (months x columns) matrix, its first row at `start`. `fitted` and
+    `irregular`, of the shape of `data`, are worked out from these on each
+    access. `results` builds the per-column records.
     """
 
     model: str
     indices: np.ndarray
     trend: np.ndarray
     accuracy: np.ndarray
-    fitted: np.ndarray
-    irregular: np.ndarray
+    data: np.ndarray
+    start: MonthStamp
 
     def __post_init__(self) -> None:
-        for name in ("indices", "trend", "accuracy", "fitted", "irregular"):
+        for name in ("indices", "trend", "accuracy", "data"):
             object.__setattr__(self, name, _read_only(getattr(self, name), 2, name))
 
     @property
+    def fitted(self) -> np.ndarray:
+        n = len(self.data)
+        with np.errstate(all="ignore"):
+            fitted = _fitted_rows(self.model, self.trend, self.indices.T[:, self.start.calendar_slots(n).nonzero()[1]],
+                                  np.arange(1.0, n + 1))
+        fitted.flags.writeable = False
+        return fitted.T
+
+    irregular = property(lambda self: self._irregular(self.fitted))
+
+    def _irregular(self, fitted: np.ndarray) -> np.ndarray:
+        with np.errstate(all="ignore"):
+            irregular = (np.divide if self.model == MULTIPLICATIVE else np.subtract)(self.data, fitted)
+        irregular.flags.writeable = False
+        return irregular
+
+    @property
     def results(self) -> tuple[DecompositionResult, ...]:
+        fitted = self.fitted
+        irregular = self._irregular(fitted)
         columns = zip(self.indices.T.tolist(), self.trend.T.tolist(), self.accuracy.T.tolist())
         return tuple(
             DecompositionResult(self.model, SeasonalIndices(self.model, tuple(indices)), TrendLine(*trend),
-                                self.fitted[:, j], self.irregular[:, j], AccuracyMetrics(*accuracy))
+                                fitted[:, j], irregular[:, j], AccuracyMetrics(*accuracy))
             for j, (indices, trend, accuracy) in enumerate(columns)
         )
+
+
+def _fitted_rows(model: str, trend: np.ndarray, seasonal: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Trend values at t = 1..N times (or plus) the (rows, N) `seasonal`, for the (2, rows) intercepts and slopes."""
+    intercepts, slopes = trend[:, :, None]
+    values = np.multiply(slopes, t)
+    values += intercepts
+    return (np.multiply if model == MULTIPLICATIVE else np.add)(values, seasonal, out=values)
 
 
 def _moving_average(x: np.ndarray) -> np.ndarray:
@@ -339,8 +368,8 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
     reduced along its last axis, row by row, so a column gives the same bits
     alone or in a panel. Each stage checks its faults over all columns before
     the next stage's result is used, as `decompose` describes. The stages
-    run over blocks of rows, so besides `fitted`, `irregular` and the
-    calendar grid of the raw seasonals, no array is larger than a block.
+    run over blocks of rows, so besides the calendar grid of the raw
+    seasonals, no array is larger than a block.
     """
     x = np.asarray(data, dtype=float).T  # only read: it may be the caller's array
     k, n = x.shape
@@ -362,18 +391,14 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
         _check_trend(trend.ravel().tolist())
         intercepts, slopes = trend[:, :, None]
         t = np.arange(1, n + 1, dtype=float)
-        fitted, irregular, accuracy = np.empty((k, n)), np.empty((k, n)), np.empty((3, k))
+        accuracy = np.empty((3, k))
         for rows, block in _row_blocks(x):
-            seasonal, values = indices[rows][:, months], fitted[rows]
-            np.multiply(slopes[rows], t, out=values)
-            values += intercepts[rows]  # the trend values, then the fitted values in place
-            (np.multiply if multiplicative else np.add)(values, seasonal, out=values)
+            seasonal = indices[rows][:, months]
+            values = _fitted_rows(model, trend[:, rows], seasonal, t)
             _check_finite("fitted value", values, start,
                           lambda: {"trend": intercepts[rows] + slopes[rows] * t, "seasonal index": seasonal})
             accuracy[:, rows] = _error_rows(block, values)
-            (np.divide if multiplicative else np.subtract)(block, values, out=irregular[rows])
-    fitted.flags.writeable = irregular.flags.writeable = False
-    return PanelDecomposition(model, indices.T, trend, accuracy, fitted.T, irregular.T)
+    return PanelDecomposition(model, indices.T, trend, accuracy, data, start)
 
 
 def decompose(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -252,7 +252,7 @@ def render_json(analysis: PanelAnalysis) -> str:
 
 def json_pieces(analysis: PanelAnalysis) -> Iterator[str]:
     """The text of `render_json` in pieces, in order; each section is formatted once the pieces before it are taken."""
-    writer, sections = _JsonWriter(), analysis.sections
+    writer, sections, codes = _JsonWriter(), analysis.sections, analysis.currencies
     several, dumps = len(sections) > 1, writer.dumps
     items = [("group", dumps(analysis.group))]
     if several:
@@ -266,12 +266,13 @@ def json_pieces(analysis: PanelAnalysis) -> Iterator[str]:
             items.append(("period", "12"))
         items.append(("aggregator", dumps(analysis.aggregator)))
     if RETURNS_SECTION in sections:
-        items.append(("returns", writer.returns(analysis.monthly, analysis.currencies)))
+        items.append(("returns", writer.returns(analysis.monthly, codes)))
     if CORRELATIONS_SECTION in sections:
         matrices = [(PRICES, analysis.price_correlation), (RETURNS, analysis.return_correlation)]
         items.append(("correlations", writer.object([(basis, writer.correlation(m)) for basis, m in matrices], 2)))
     if DECOMPOSITION_SECTION in sections:
-        items.append(("decomposition", writer.decomposition(analysis.decomposition, analysis.currencies)))
+        d = analysis.decomposition  # its arrays: it refers to the panel's prices, which go before the pieces are taken
+        items.append(("decomposition", writer.decomposition(d.model, d.indices, d.trend, d.accuracy, codes)))
         items.append(("signs", _json_list(map(dumps, analysis.signs), 2)))
     return writer.object(items, 1, "}\n")
 
@@ -346,14 +347,12 @@ class _JsonWriter:
                 separator = "," + inner
         yield inner[:-2] + "]"
 
-    def decomposition(self, decomposition: PanelDecomposition, codes: Sequence[str]) -> Iterator[str]:
-        """The decomposition section: per currency, its indices and deviations, trend and accuracy metrics."""
+    def decomposition(self, model: str, indices, trend, accuracy, codes: Sequence[str]) -> Iterator[str]:
+        """The decomposition section from `PanelDecomposition` arrays: per currency, indices, trend and metrics."""
         slots = _json_list(["%s"] * 12, 4)
         template = "".join(self.object([("model", "%s"), ("indices", slots), ("deviation_percent", slots)]
                                         + [(name, "%s") for name in ("constant", "slope", "mape", "mad", "msd")], 3))
-        model, indices, accuracy = decomposition.model, decomposition.indices, decomposition.accuracy
-        values = self.texts(np.concatenate((indices, _deviation_percent(model, indices), decomposition.trend,
-                                            accuracy)))
+        values = self.texts(np.concatenate((indices, _deviation_percent(model, indices), trend, accuracy)))
         values[-3:][np.isnan(accuracy)] = "null"
         columns = np.concatenate((np.full((1, len(codes)), self.dumps(model), dtype=object), values))
         yield from self.object(((code, template % tuple(column)) for code, column in zip(codes, columns.T.tolist())),
@@ -391,5 +390,28 @@ def _write_chart(group: str, codes: Sequence[str], deviations: np.ndarray, direc
     for month, row in enumerate(deviations.tolist(), start=1):
         lines.append(f"{month}," + ",".join(f"{value:.4f}" for value in row))
     path = directory / name
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, ["\n".join(lines) + "\n"])
     return path
+
+
+def _write_text(out: Path | str, pieces: Iterable[str]) -> None:
+    """Write text pieces to the file `out` through a temporary file beside it, which replaces it once all are written.
+
+    A write that fails removes the temporary file, leaves `out` as it was, and raises an OSError naming `out`. A
+    symbolic link at `out` stays, and the file it names is replaced; a path that exists and is not a regular file,
+    such as a device, is written directly.
+    """
+    import os
+
+    direct = os.path.exists(out) and not os.path.isfile(out)  # through a symbolic link, as `open` goes
+    path = os.path.realpath(out) if not direct and os.path.islink(out) else os.fspath(out)
+    temporary = path if direct else os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as stream:
+            stream.writelines(pieces)
+        os.replace(temporary, path)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(out)) from None
+    finally:
+        if not direct and os.path.lexists(temporary):  # it is gone once it has replaced `out`
+            os.unlink(temporary)

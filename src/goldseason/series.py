@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -31,6 +31,7 @@ _STAMP_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"[A-Za-z]{3}")
 _MISSING = object()  # the default of a record field that has none
 _BLOCK = 1 << 14  # elements a transient block of a panel-wide computation may hold (128 KiB of doubles)
+_CHUNK = 1 << 16  # characters of whole lines a file is read in at a time
 
 
 class _Record:
@@ -274,12 +275,14 @@ class SeriesPanel(_Record):
         return self.start.shift(self.prices.shape[0] - 1)
 
     def returns(self) -> np.ndarray:
-        """The (months - 1, currencies) matrix of `to_returns` of every column."""
-        return _ratio_returns(self.prices, self.currencies, self.start)
+        """The read-only (months - 1, currencies) matrix of `to_returns` of every column."""
+        rets = _ratio_returns(self.prices, self.currencies, self.start)
+        rets.flags.writeable = False
+        return rets
 
 
 def _ratio_returns(prices: np.ndarray, codes, start: MonthStamp) -> np.ndarray:
-    """Read-only returns down each column of an (n, k) price matrix whose first row is at `start`."""
+    """A new array of the returns down each column of an (n, k) price matrix whose first row is at `start`."""
     n = prices.shape[0]
     if n < 2:
         raise DataError(f"series {codes[0]} has {n} point(s); need at least 2 for returns")
@@ -294,17 +297,17 @@ def _ratio_returns(prices: np.ndarray, codes, start: MonthStamp) -> np.ndarray:
             f"return of {codes[col]} at {start.shift(row + 1)} is not finite: "
             f"price {float(prices[row + 1, col])!r} after {float(prices[row, col])!r}"
         )
-    rets.flags.writeable = False
     return rets
 
 
-def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
-    """Parse a monthly price panel from CSV text.
+def parse_panel_csv(text, group: str = "panel") -> SeriesPanel:
+    """Parse a monthly price panel from CSV text, or from the file at a path.
 
     Parameters
     ----------
-    text : str
-        Document following the CSV contract in the module docstring.
+    text : str or path-like
+        Document following the CSV contract in the module docstring, or the
+        path of a file holding it, read a chunk of lines at a time.
     group : str
         Label attached to the resulting panel.
 
@@ -313,8 +316,11 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     DataError
         On a malformed header, a non-numeric or non-positive price (the
         message names the stamp and column), or a calendar gap or
-        duplicate stamp (the message names the offending month).
+        duplicate stamp (the message names the offending month); for a
+        file, on a byte that is not UTF-8 (the message gives its offset).
     """
+    if not isinstance(text, str):
+        return _read_panel_csv(text, group)
     lines = text.removeprefix("\ufeff").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
@@ -330,21 +336,68 @@ def parse_panel_csv(text: str, group: str = "panel") -> SeriesPanel:
     body = lines[1:]
     if not body:
         raise DataError("document has a header but no data rows")
-    n, k = len(body), len(codes)
-    start = MonthStamp.parse(body[0].partition(",")[0]) if body[0].count(",") == k else None  # else raises as below
-    # the stamp column against the texts of the months that follow the first, in one comparison; then numpy's C reader
-    # takes the cells as each line is reached, unless a line's cells are blank, which it would skip, and raises on a
-    # line with another cell count
-    fast = (start is not None and [line[:8] for line in body] == _stamp_texts(start, n)
-            and all(len(line.rstrip()) > 8 for line in body))
-    try:
-        prices = np.loadtxt((line[8:] for line in body), delimiter=",", comments=None, ndmin=2) if fast else None
-    except ValueError:
-        prices = None
-    if prices is None or prices.shape != (n, k) or not (np.isfinite(prices) & (prices > 0.0)).all():
+    # a first line with another cell count has no stamp here: the row parser raises for it
+    start = MonthStamp.parse(body[0].partition(",")[0]) if body[0].count(",") == len(codes) else None
+    prices = None if start is None else _loaded_prices([body], start, len(codes))
+    if prices is None:
         prices = _parse_rows(body, codes)  # names the first fault, or reads cells only float() reads
     prices.flags.writeable = False  # the panel shares it
     return SeriesPanel(group, start, tuple(codes), prices)
+
+
+def _loaded_prices(chunks: Iterable[list[str]], start: MonthStamp, k: int) -> np.ndarray | None:
+    """The prices of chunks of data lines by numpy's C reader, or None if it raises or a check or a price fails.
+
+    Each chunk's stamps are compared with the texts of the months that run on from `start` in one comparison. The
+    reader takes the cells as each line is reached, unless they are blank, which it would skip.
+    """
+
+    def cells():
+        rows = 0
+        for lines in chunks:
+            if ([line[:8] for line in lines] != _stamp_texts(start.shift(rows), len(lines))
+                    or not all(len(line.rstrip()) > 8 for line in lines)):
+                raise ValueError("a stamp out of sequence, or a line with blank cells")
+            rows += len(lines)
+            yield from (line[8:] for line in lines)
+
+    try:
+        prices = np.loadtxt(cells(), delimiter=",", comments=None, ndmin=2)
+    except ValueError:  # also a chunk of a file that is not UTF-8, or that holds a line `str.splitlines` would split
+        return None
+    return prices if prices.shape[1] == k and 0.0 < prices.min() and prices.max() < np.inf else None
+
+
+def _read_panel_csv(path, group: str) -> SeriesPanel:
+    """`parse_panel_csv` of a file read `_CHUNK` characters of lines at a time, or else read whole as text."""
+
+    def chunks(stream, lines):
+        while lines:  # `str.splitlines` also breaks lines at these, and at some characters beyond ASCII
+            text = "".join(lines)
+            if (not text.isascii() or any(char in text for char in "\x0b\x0c\x1c\x1d\x1e")) and (
+                    len(text.splitlines()) != len(lines)):
+                raise ValueError("a line holds a character that str.splitlines breaks lines at")
+            yield lines
+            lines = stream.readlines(_CHUNK)
+
+    with open(path, encoding="utf-8") as stream:
+        try:
+            header, *lines = stream.readlines(_CHUNK) or ["\n"]  # an empty file is parsed as text below
+            date, *codes = (cell.strip() for cell in header.removeprefix("\ufeff").split(","))
+            if len(header.splitlines()) == 1 and date == "date" and lines:
+                start = MonthStamp.parse(lines[0][:7])
+                prices = _loaded_prices(chunks(stream, lines), start, len(codes))
+                if prices is not None:
+                    prices.flags.writeable = False  # the panel shares it
+                    return SeriesPanel(group, start, tuple(codes), prices)
+        except (UnicodeDecodeError, DataError):  # the text names the fault
+            pass
+    with open(path, "rb") as stream:
+        try:
+            text = stream.read().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
+    return parse_panel_csv(text, group)
 
 
 def _parse_rows(body: list[str], codes: list[str]) -> np.ndarray:

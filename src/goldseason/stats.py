@@ -26,8 +26,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DataError, NumericError
-from .series import (_BLOCK, MonthStamp, ReturnSeries, SeriesPanel, _read_only, _Record, _require_finite, _row_blocks,
-                     _unit_scale)
+from .series import (_BLOCK, MonthStamp, ReturnSeries, SeriesPanel, _ratio_returns, _read_only, _Record,
+                     _require_finite, _row_blocks, _unit_scale)
 
 PRICES = "prices"
 RETURNS = "returns"
@@ -232,16 +232,17 @@ def one_sample_ttest(sample: Sequence[float], mu0: float = 0.0) -> TTestResult:
     return TTestResult(float(t_stat), x.size - 1, float(_two_sided_p(t_stat, x.size - 1)))
 
 
-def _pearson_r(data: np.ndarray) -> np.ndarray:
+def _pearson_r(data: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pearson correlations of the columns of an (n, k) matrix, as a symmetric k x k matrix with a unit diagonal.
 
     Columns are `_unit_scale`d before they are centered, and again after, which
     changes no r but keeps every sum finite for values up to the largest double.
+    The deviations are formed in `out`, which may be `data` itself, else in a new array.
     """
     n = data.shape[0]
     if n < 3:
         raise DataError(f"correlation needs at least 3 pairs, got {n}")
-    deviations, _ = _unit_scale(data, 0)
+    deviations, _ = _unit_scale(data, 0, out=out)
     deviations -= deviations.mean(axis=0)
     _unit_scale(deviations, 0, out=deviations)
     r = deviations.T @ deviations  # exactly symmetric: numpy forms one triangle of a.T @ a (BLAS syrk) and mirrors it
@@ -319,7 +320,8 @@ def monthly_tests(returns: np.ndarray, start: MonthStamp, alpha: float) -> Month
     """The calendar-month t-tests of every column of an (n, k) returns matrix whose first row is at `start`.
 
     The twelve months, the columns of a calendar grid, and the overall record
-    of all columns are tested in one pass. A fault is reported for the first
+    are tested a block of columns at a time, each column reduced on its own,
+    and the p-values of all columns in one pass. A fault is reported for the first
     bucket, calendar months 1..12 then the overall record, whose test is
     undefined in any column. Of a panel, `panel.returns()` raises first, for the
     first currency with a return that is not finite, at its first such month,
@@ -328,14 +330,15 @@ def monthly_tests(returns: np.ndarray, start: MonthStamp, alpha: float) -> Month
     _check_alpha(alpha)
     _require_finite(returns, "returns")
     n, k = returns.shape
-    # the overall record from the series in rows, then the months from a grid; each copy is dropped after its pass
-    overall = _mean_ttests(np.ascontiguousarray(returns.T)[:, :, None], np.ones((n, 1), bool))
     slots = start.calendar_slots(n)
-    grid = np.zeros((k,) + slots.shape)
-    grid[:, slots] = returns.T
-    months = _mean_ttests(grid, slots)
-    del grid
-    means, counts, t_stats = (np.concatenate(pair, axis=-1) for pair in zip(months, overall))
+    means, t_stats = np.empty((k, 13)), np.empty((k, 13))
+    counts = np.append(slots.sum(axis=0), n)  # the observations of each calendar month, then of all months
+    for rows, block in _row_blocks(returns.T):  # the overall record from the block's rows, the months from a grid
+        overall = _mean_ttests(block[:, :, None], np.ones((n, 1), bool))
+        grid = np.zeros((len(block),) + slots.shape)
+        grid[:, slots] = block
+        means[rows], _, t_stats[rows] = (np.concatenate(pair, axis=-1) for pair in
+                                         zip(_mean_ttests(grid, slots), overall))
     p_values = _two_sided_p(t_stats, counts - 1)
     undefined = np.isnan(p_values)
     if undefined.any():
@@ -397,10 +400,11 @@ def correlation_matrix(panel: SeriesPanel, basis: str = PRICES, alpha: float = 0
     _check_alpha(alpha)
     if len(panel) < 2:
         raise DataError("correlation matrix needs at least 2 series")
-    data = panel.prices if basis == PRICES else panel.returns()
+    # the panel shares its prices, so they are copied as they are scaled; the returns are this call's own
+    data = panel.prices if basis == PRICES else _ratio_returns(panel.prices, panel.currencies, panel.start)
     _require_finite(data, "correlation input")
     n = data.shape[0]
-    values = _pearson_r(data)
+    values = _pearson_r(data, out=None if basis == PRICES else data)
     del data  # before the p-value pass
     p_values = np.empty_like(values)
     for rows, block in _row_blocks(values):

@@ -8,12 +8,13 @@ see the same memory layout along its axis, so it must give the same bits
 and raise the same error for any panel.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 from goldseason.decompose import (
     MEAN,
     MULTIPLICATIVE,
-    PanelDecomposition,
     _check_aggregator,
     _check_model,
     _check_normalized,
@@ -90,8 +91,11 @@ def _check_finite(name: str, component: np.ndarray, start, inputs: dict[str, np.
         raise NumericError(f"{name} at {start.shift(bad[1])} is not finite: {causes}")
 
 
-def reference_decompose_columns(data: np.ndarray, start, model: str, aggregator: str) -> PanelDecomposition:
-    """`decompose` of every column of an (n, k) matrix whose first row is at `start`."""
+def reference_decompose_columns(data: np.ndarray, start, model: str, aggregator: str) -> SimpleNamespace:
+    """The arrays of `decompose` of every column of an (n, k) matrix whose first row is at `start`.
+
+    `fitted` and `irregular` are stored, where `PanelDecomposition` works them out on access.
+    """
     x = np.ascontiguousarray(np.asarray(data, dtype=float).T)
     n = x.shape[1]
     with np.errstate(all="ignore"):
@@ -112,4 +116,5 @@ def reference_decompose_columns(data: np.ndarray, start, model: str, aggregator:
         _check_finite("fitted value", fitted, start, {"trend": trend_values, "seasonal index": per_point})
         irregular = x / fitted if model == MULTIPLICATIVE else x - fitted
     fitted.flags.writeable = irregular.flags.writeable = False
-    return PanelDecomposition(model, indices.T, trend, np.stack(_error_rows(x, fitted)), fitted.T, irregular.T)
+    return SimpleNamespace(indices=indices.T, trend=trend, accuracy=np.stack(_error_rows(x, fitted)), fitted=fitted.T,
+                           irregular=irregular.T)

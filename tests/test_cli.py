@@ -1,5 +1,7 @@
+import errno
 import json
 import os
+import stat
 import subprocess
 import sys
 import warnings
@@ -210,6 +212,19 @@ class TestReport:
         assert run_cli(args + ["--out", str(two)]) == 0
         assert one.read_bytes() == two.read_bytes()
 
+    def test_blas_thread_count_moves_no_output_byte(self, tmp_path):
+        # each correlation basis forms its Gram matrix in one BLAS call; 200 x 1200 is the benchmark's wide shape
+        rng = np.random.default_rng(4)
+        prices = 10.0 ** rng.uniform(2.0, 4.5, 200) * np.exp(np.cumsum(rng.normal(0.0, 0.03, (1200, 200)), axis=0))
+        codes = tuple(a + b + c for a in "ABCDEFGH" for b in "ABCDE" for c in "ABCDE")
+        path = tmp_path / "wide.csv"
+        path.write_text(render_panel_csv(SeriesPanel("wide", MonthStamp(1979, 1), codes, np.round(prices, 3))))
+        argv = ["report", "--format", "json", "--input", str(path)]
+        one, two = (TestExitCodes._child(argv, stdout=subprocess.PIPE, OPENBLAS_NUM_THREADS=threads)
+                    for threads in ("1", "2"))
+        assert one.returncode == two.returncode == 0
+        assert one.stdout == two.stdout and one.stdout.startswith('{\n  "group": "panel"')
+
     def test_charts_directory(self, panel_csv, tmp_path, capsys):
         charts = tmp_path / "charts"
         code = run_cli(["report", "--input", str(panel_csv), "--group", "duo",
@@ -368,13 +383,17 @@ class TestExitCodes:
         assert "not found" in err
 
     @staticmethod
-    def _child(argv, stdout=subprocess.DEVNULL, shell_redirect=""):
-        """`goldseason <argv>` in a fresh interpreter, its stdout `stdout` or else the one `shell_redirect` makes."""
-        env = dict(os.environ, PYTHONPATH=str(Path(goldseason.__file__).resolve().parents[1]))
+    def _child(argv, stdout=subprocess.DEVNULL, shell_redirect="", preexec_fn=None, **env):
+        """`goldseason <argv>` in a fresh interpreter, its stdout `stdout` or else the one `shell_redirect` makes.
+
+        `env` adds variables to the child's environment, and `preexec_fn` runs in the child before it starts.
+        """
+        env = dict(os.environ, PYTHONPATH=str(Path(goldseason.__file__).resolve().parents[1]), **env)
         command = [sys.executable, "-m", "goldseason.cli", *argv]
         if shell_redirect:
             command = ["/bin/sh", "-c", f'exec "$@" {shell_redirect}', "sh", *command]
-        return subprocess.run(command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120)
+        return subprocess.run(command, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+                              preexec_fn=preexec_fn)
 
     def test_directory_input_is_usage_error_naming_it(self, tmp_path):
         proc = self._child(["report", "--input", str(tmp_path)])
@@ -402,6 +421,46 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+    @pytest.mark.parametrize("failing", ["out", "chart"])
+    def test_a_write_past_the_file_size_limit_leaves_the_earlier_file(self, panel_csv, tmp_path, failing):
+        resource = pytest.importorskip("resource")
+        out, chart = tmp_path / "out" / "report.json", tmp_path / "charts" / "panel_seasonal_deviation.csv"
+        earlier = {out: b"an earlier report\n", chart: b"month,AAA\n"}
+        for path, data in earlier.items():
+            path.parent.mkdir()
+            path.write_bytes(data)
+        limit = 4096 if failing == "out" else 64  # the JSON is larger than 4096 bytes, the chart than 64
+
+        def limit_file_size():  # in the child alone; CPython ignores SIGXFSZ, so the write fails with EFBIG
+            resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+        argv = ["report", "--format", "json", "--input", str(panel_csv), "--out", str(out),
+                "--charts", str(chart.parent)]
+        proc = self._child(argv, preexec_fn=limit_file_size, PYTHONDONTWRITEBYTECODE="1")
+        assert proc.returncode == 1
+        failed = out if failing == "out" else chart
+        assert proc.stderr.splitlines() == [f"error: [Errno {errno.EFBIG}] {os.strerror(errno.EFBIG)}: '{failed}'"]
+        assert out.read_bytes() == earlier[out]  # a chart that fails is written before the report
+        if failing == "chart":
+            assert chart.read_bytes() == earlier[chart]
+        assert [path.name for path in out.parent.iterdir()] == [out.name]  # no temporary file is left
+        assert [path.name for path in chart.parent.iterdir()] == [chart.name]
+
+    def test_out_on_a_device_writes_through_it(self, panel_csv):
+        # a device is opened as before, never replaced by a renamed temporary file
+        assert run_cli(["report", "--input", str(panel_csv), "--out", os.devnull]) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+    def test_out_replaces_the_file_a_symbolic_link_names(self, panel_csv, tmp_path, capsys):
+        target, link = tmp_path / "out" / "report.md", tmp_path / "link.md"
+        target.parent.mkdir()
+        target.write_text("an earlier, longer report\n" * 1000)
+        link.symlink_to(target)
+        assert run_cli(["report", "--input", str(panel_csv), "--out", str(link)]) == 0
+        assert run_cli(["report", "--input", str(panel_csv)]) == 0
+        assert link.is_symlink() and target.read_text() == capsys.readouterr().out
+        assert [path.name for path in target.parent.iterdir()] == [target.name]
 
     def test_no_command_is_usage_error(self, capsys):
         assert run_cli([]) == 1

@@ -30,6 +30,8 @@ STAMP_TEXTS = ["2000-1", "200-01", "2000-13", "2000-00", "2000/01", "", "abcd-ef
                "1999-12", "\u0662\u0660\u0660\u0660-\u0660\u0661"]
 PRICE_TEXTS = ["x", "-1", "0", "nan", "inf", "", "1e400", " 2.5", "1_000", "\uff11\uff12", "\u0661\u0662", " 12", "+5",
                ".5", "5.", "0x10", "#1", "  "]
+# what `str.splitlines` breaks a line at and reading a file does not
+BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 def outcome(parse, text: str):
@@ -68,6 +70,8 @@ def mutate(rows: list[list[str]], kind: str, at: int, extra) -> None:
         rows[i] = rows[i] + ["1.5"] if extra > 0 else rows[i][:max(1, len(rows[i]) - 1)]  # the stamp stays
     elif kind == "price":
         rows[i][-1] = extra
+    elif kind == "break":
+        rows[i][-1] += extra
 
 
 @given(
@@ -96,6 +100,41 @@ def test_parser_matches_the_row_by_row_reference(start, n, k, edits, trailer, bo
     text = ("\ufeff" if bom else "") + "\n".join(["date," + ",".join(CODES[:k])] + [",".join(r) for r in rows])
     text += trailer
     assert outcome(parse_panel_csv, text) == outcome(reference_parse_panel_csv, text)
+
+
+@given(
+    n=st.sampled_from([1, 2, 30, 3500]),  # 3500 rows span several of the file reader's chunks
+    k=st.integers(1, 3),
+    edits=st.lists(st.tuples(st.one_of(mutations, st.tuples(st.just("break"), st.integers(0, 50),
+                                                           st.sampled_from(BREAKS))), st.booleans()), max_size=3),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
+    trailer=st.sampled_from(["", "\n", "\n\n  \n", "\r\n", "\n\x0c"]),
+    bom=st.booleans(),
+    bad_byte=st.one_of(st.none(), st.floats(0.0, 1.0)),
+)
+@example(n=3500, k=2, edits=[], newline="\n", trailer="\n", bom=False, bad_byte=0.9)  # past the first chunk
+@example(n=3500, k=3, edits=[], newline="\r\n", trailer="\n\n  \n", bom=True, bad_byte=None)
+@example(n=30, k=2, edits=[(("break", 3, "\x0c"), False)], newline="\n", trailer="", bom=False, bad_byte=None)
+@example(n=30, k=1, edits=[(("break", 0, "\u2028"), False)], newline="\r", trailer="\n", bom=False, bad_byte=None)
+@example(n=3500, k=2, edits=[(("break", 50, "\x1c"), True)], newline="\n", trailer="\n", bom=False, bad_byte=None)
+@settings(max_examples=150, deadline=None)
+def test_file_reader_matches_the_row_by_row_reference(tmp_path_factory, n, k, edits, newline, trailer, bom, bad_byte):
+    first = MonthStamp(1990, 7)
+    table = [["date", *CODES[:k]]] + [[str(first.shift(i))] + [f"{1 + i + j / 4}" for j in range(k)]
+                                      for i in range(n)]
+    for (kind, at, extra), late in edits:  # a late edit lands in the last rows, past the first chunk of a long file
+        mutate(table, kind, len(table) - 1 - at if late else at, extra)
+    text = ("\ufeff" if bom else "") + newline.join(",".join(row) for row in table) + trailer
+    data = bytearray(text.encode("utf-8"))
+    if bad_byte is not None:
+        data[round(bad_byte * (len(data) - 1))] = 0xFF
+    path = tmp_path_factory.getbasetemp() / "reader.csv"
+    path.write_bytes(data)
+    try:
+        expected = outcome(reference_parse_panel_csv, data.decode("utf-8"))
+    except UnicodeDecodeError as exc:
+        expected = DataError, f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
+    assert outcome(parse_panel_csv, path) == expected
 
 
 def window_panel() -> SeriesPanel:

@@ -1,11 +1,13 @@
 """Peak memory of each stage of a report on a 200 x 1200 panel, traced by tracemalloc.
 
-A bound is the peak the stage reaches, rounded up by a few percent: the parser holds the text's lines and the
-prices, the monthly tests and the decomposition about two panel-sized arrays, and the returns correlations the
-p-value pass over one block of rows of the 200 x 200 matrix.
+A bound is the peak the stage reaches, rounded up by a few percent: the text parser holds the text's lines and the
+prices, the file reader the prices and one chunk of lines, the monthly tests the returns' grid of one block of
+columns, the decomposition the calendar grid of its raw seasonals, and the returns correlations the p-value pass
+over one block of rows of the 200 x 200 matrix.
 """
 
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -50,10 +52,19 @@ def test_stacking_series_copies_their_prices_once():
     assert traced_peak(lambda: SeriesPanel.from_series("g", series)) <= 1.2 * 4 * 100_000 * 8
 
 
-def test_monthly_tests_peak_is_at_most_2_2_panels(panel_text):
+def test_file_reader_peak_is_at_most_1_5_panels(panel_text, tmp_path):
+    # the CLI reads its input through this path; the whole text, its bytes and its lines would be 3.6 panels
+    path = tmp_path / "panel.csv"
+    path.write_text(panel_text)
+    panel = parse_panel_csv(path)
+    assert panel == parse_panel_csv(panel_text)
+    assert traced_peak(lambda: parse_panel_csv(path)) <= 1.5 * panel.prices.nbytes
+
+
+def test_monthly_tests_peak_is_at_most_0_6_panels(panel_text):
     panel = parse_panel_csv(panel_text)
     returns = panel.returns()
-    assert traced_peak(lambda: monthly_tests(returns, panel.start.shift(1), 0.05)) <= 2.2 * returns.nbytes
+    assert traced_peak(lambda: monthly_tests(returns, panel.start.shift(1), 0.05)) <= 0.6 * returns.nbytes
 
 
 def test_returns_correlation_peak_is_at_most_3_0_panels(panel_text):
@@ -61,9 +72,10 @@ def test_returns_correlation_peak_is_at_most_3_0_panels(panel_text):
     assert traced_peak(lambda: correlation_matrix(panel, RETURNS)) <= 3.0 * panel.prices.nbytes
 
 
-def test_decomposition_peak_is_at_most_2_5_panels(panel_text):
+def test_decomposition_peak_is_at_most_1_5_panels(panel_text):
+    # neither the fitted values nor the irregular component is stored: each is worked out when it is read
     panel = parse_panel_csv(panel_text)
-    assert traced_peak(lambda: decompose(panel)) <= 2.5 * panel.prices.nbytes
+    assert traced_peak(lambda: decompose(panel)) <= 1.5 * panel.prices.nbytes
 
 
 def test_streamed_json_peak_is_below_the_document_length(panel_text):
@@ -71,3 +83,14 @@ def test_streamed_json_peak_is_below_the_document_length(panel_text):
     analysis = analyze_panel(parse_panel_csv(panel_text), ReportConfig(fmt="json"))
     document = render_json(analysis)
     assert traced_peak(lambda: deque(json_pieces(analysis), maxlen=0)) < len(document)
+
+
+def test_json_pieces_let_the_panel_prices_go(panel_text):
+    # the CLI writes the pieces after dropping the panel and the analysis: the prices are freed before the writing
+    panel = parse_panel_csv(panel_text)
+    analysis = analyze_panel(panel, ReportConfig(fmt="json"))
+    document, prices = render_json(analysis), weakref.ref(panel.prices)
+    pieces = json_pieces(analysis)
+    del panel, analysis
+    assert prices() is None
+    assert "".join(pieces) == document

@@ -43,6 +43,27 @@ def test_report_runs_with_scipy_unimportable(tmp_path):
     assert set(json.loads(proc.stdout)["returns"]) == {"AAA", "BBB"}
 
 
+def test_a_report_loads_no_synth_and_the_package_still_exports_it(tmp_path):
+    rows = [f"{2000 + i // 12}-{i % 12 + 1:02d},{100.0 + i % 5},{50.0 + i % 7}" for i in range(48)]
+    source = tmp_path / "panel.csv"
+    source.write_text("date,AAA,BBB\n" + "\n".join(rows) + "\n")
+    proc = run_python(
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from goldseason.cli import run_cli\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = run_cli(['report', '--format', 'json', '--input', sys.argv[1]])\n"
+        "print(code, 'goldseason.synth' in sys.modules)\n"
+        "import goldseason\n"
+        "names = {}\n"
+        "exec('from goldseason import *', names)\n"
+        "print(sorted(set(goldseason.__all__) - set(names)), names['generate_series'].__module__)",
+        str(source),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 False\n[] goldseason.synth\n"
+
+
 def test_markdown_report_loads_no_json(tmp_path):
     """Only the JSON writer imports `json`; a markdown report, the paper-scale default, never loads it."""
     rows = [f"{2000 + i // 12}-{i % 12 + 1:02d},{100.0 + i % 5},{50.0 + i % 7}" for i in range(48)]

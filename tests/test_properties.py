@@ -601,9 +601,9 @@ def filled_analysis(group, codes, sections, model, floats, raw, counts, signs, a
     matrices = [CorrelationMatrix(codes, fill(floats, k, k), fill(floats[::-1], k, k), fill([True, False], k, k),
                                   len(counts), basis, alpha) for basis in (PRICES, RETURNS)]
     indices = np.array([SeasonalIndices.from_values(model, row).values for row in raw]).T
-    zeros = np.zeros((2, k))
     accuracy = fill(floats + [math.nan], 3, k)
-    decomposition = PanelDecomposition(model, indices, fill(finite, 2, k), accuracy, zeros, zeros)
+    decomposition = PanelDecomposition(model, indices, fill(finite, 2, k), accuracy, np.ones((24, k)),
+                                       MonthStamp(1979, 1))
     return PanelAnalysis(
         group=group,
         span=(MonthStamp(1979, 1), MonthStamp(2016, 2)),

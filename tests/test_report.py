@@ -209,7 +209,8 @@ class TestAnalyzePanel:
         summaries = analysis.summaries
         monthly, decomposition = analysis.monthly, analysis.decomposition
         for array in (monthly.means, monthly.counts, monthly.t_stats, monthly.p_values, decomposition.indices,
-                      decomposition.trend, decomposition.accuracy, decomposition.fitted, decomposition.irregular):
+                      decomposition.trend, decomposition.accuracy, decomposition.data, decomposition.fitted,
+                      decomposition.irregular):
             assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             monthly.means[0, 0] = 99.0
