@@ -48,9 +48,14 @@ MULTIPLICATIVE = "multiplicative"
 MEDIAN = "median"
 MEAN = "mean"
 
+# What each model does with a season: how it is put on a trend, how it is taken off a value, which index is neutral.
+_PUT_ON = {MULTIPLICATIVE: np.multiply, ADDITIVE: np.add}
+_TAKE_OFF = {MULTIPLICATIVE: np.divide, ADDITIVE: np.subtract}
+_NEUTRAL = {MULTIPLICATIVE: 1.0, ADDITIVE: 0.0}
+
 
 def _check_model(model: str) -> None:
-    if model not in (ADDITIVE, MULTIPLICATIVE):
+    if not isinstance(model, str) or model not in _NEUTRAL:
         raise DataError(f"model must be {ADDITIVE!r} or {MULTIPLICATIVE!r}, got {model!r}")
 
 
@@ -90,7 +95,7 @@ def _normalize(model: str, raw: np.ndarray) -> np.ndarray:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a mean <= 0 or an index not finite raises
         scaled, exponents = _unit_scale(raw, -1)
         means = np.ldexp(scaled.mean(axis=-1, keepdims=True), exponents)
-        normalized = raw / means if model == MULTIPLICATIVE else raw - means
+        normalized = _TAKE_OFF[model](raw, means)
     if model == MULTIPLICATIVE and (means <= 0.0).any():
         raise DataError("multiplicative indices must have a positive mean")
     return normalized
@@ -100,9 +105,9 @@ def _check_normalized(model: str, rows) -> None:
     """Raise unless each row of 12 indices averages 1 (multiplicative) or 0 (additive), to rounding."""
     rows = np.asarray(rows, dtype=float)
     scaled, exponents = _unit_scale(rows, -1)
-    target, rule = (1.0, "average 1") if model == MULTIPLICATIVE else (0.0, "sum to 0")
-    errors = np.abs(np.ldexp(scaled.mean(axis=-1), exponents[:, 0]) - target)
+    errors = np.abs(np.ldexp(scaled.mean(axis=-1), exponents[:, 0]) - _NEUTRAL[model])
     if (errors > 1e-12 * np.maximum(1.0, np.abs(rows).max(axis=-1))).any():
+        rule = "average 1" if model == MULTIPLICATIVE else "sum to 0"
         raise DataError(f"{model} indices must {rule}; use from_values to normalize")
 
 
@@ -168,15 +173,15 @@ class PanelDecomposition(_Record, eq=False):
     start: MonthStamp
 
     def __post_init__(self) -> None:
+        _check_model(self.model)
         for name in ("indices", "trend", "accuracy", "data"):
             object.__setattr__(self, name, _read_only(getattr(self, name), 2, name))
 
     @property
     def fitted(self) -> np.ndarray:
-        n = len(self.data)
         with np.errstate(all="ignore"):
-            fitted = _fitted_rows(self.model, self.trend, self.indices.T[:, self.start.calendar_slots(n).nonzero()[1]],
-                                  np.arange(1.0, n + 1))
+            seasonal = self.indices.T[:, self.start.calendar_slots(len(self.data)).nonzero()[1]]
+            fitted = _fitted_rows(self.model, self.trend, seasonal)
         fitted.flags.writeable = False
         return fitted.T
 
@@ -184,7 +189,7 @@ class PanelDecomposition(_Record, eq=False):
 
     def _irregular(self, fitted: np.ndarray) -> np.ndarray:
         with np.errstate(all="ignore"):
-            irregular = (np.divide if self.model == MULTIPLICATIVE else np.subtract)(self.data, fitted)
+            irregular = _TAKE_OFF[self.model](self.data, fitted)
         irregular.flags.writeable = False
         return irregular
 
@@ -200,12 +205,12 @@ class PanelDecomposition(_Record, eq=False):
         )
 
 
-def _fitted_rows(model: str, trend: np.ndarray, seasonal: np.ndarray, t: np.ndarray) -> np.ndarray:
+def _fitted_rows(model: str, trend: np.ndarray, seasonal: np.ndarray) -> np.ndarray:
     """Trend values at t = 1..N times (or plus) the (rows, N) `seasonal`, for the (2, rows) intercepts and slopes."""
     intercepts, slopes = trend[:, :, None]
-    values = np.multiply(slopes, t)
+    values = np.multiply(slopes, np.arange(1.0, seasonal.shape[-1] + 1))
     values += intercepts
-    return (np.multiply if model == MULTIPLICATIVE else np.add)(values, seasonal, out=values)
+    return _PUT_ON[model](values, seasonal, out=values)
 
 
 def _moving_average(x: np.ndarray) -> np.ndarray:
@@ -259,8 +264,7 @@ def _raw_seasonals(x: np.ndarray, start: MonthStamp | None, model: str, aggregat
     grid = np.full((k, 12, len(slots)), np.nan)  # (k, 12, years)
     for rows, block in _row_blocks(x):
         raws = np.full(block.shape, np.nan)
-        (np.divide if model == MULTIPLICATIVE else np.subtract)(block[:, 6:n - 6], _moving_average(block),
-                                                                out=raws[:, 6:n - 6])
+        _TAKE_OFF[model](block[:, 6:n - 6], _moving_average(block), out=raws[:, 6:n - 6])
         grid[rows].transpose(0, 2, 1)[:, slots] = raws
     if aggregator == MEAN:  # a month with no raw seasonal gets NaN, and no warning as np.nanmean gives
         counts = np.count_nonzero(~np.isnan(grid), axis=-1)
@@ -373,10 +377,9 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
     """
     x = np.asarray(data, dtype=float).T  # only read: it may be the caller's array
     k, n = x.shape
-    multiplicative = model == MULTIPLICATIVE
     with np.errstate(all="ignore"):  # each stage's faults are raised before the next stage is used
         raw = _raw_seasonals(x, start, model, aggregator)
-        if multiplicative:
+        if model == MULTIPLICATIVE:
             _check_positive(x, start)
         indices = _normalize(model, raw)
         _check_normalized(model, indices)
@@ -384,7 +387,7 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
         trend = np.empty((2, k))  # intercepts, slopes
         for rows, block in _row_blocks(x):
             seasonal = indices[rows][:, months]
-            deseasonalized = block / seasonal if multiplicative else block - seasonal
+            deseasonalized = _TAKE_OFF[model](block, seasonal)
             _check_finite("deseasonalized value", deseasonalized, start,
                           lambda: {"value": block, "seasonal index": seasonal})
             trend[:, rows] = _fit_trend_rows(deseasonalized)
@@ -394,7 +397,7 @@ def _decompose_columns(data: np.ndarray, start: MonthStamp | None, model: str, a
         accuracy = np.empty((3, k))
         for rows, block in _row_blocks(x):
             seasonal = indices[rows][:, months]
-            values = _fitted_rows(model, trend[:, rows], seasonal, t)
+            values = _fitted_rows(model, trend[:, rows], seasonal)
             _check_finite("fitted value", values, start,
                           lambda: {"trend": intercepts[rows] + slopes[rows] * t, "seasonal index": seasonal})
             accuracy[:, rows] = _error_rows(block, values)

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .decompose import (
+    _NEUTRAL,
     MEDIAN,
     MULTIPLICATIVE,
     DecompositionResult,
@@ -92,9 +93,8 @@ def _month_signs(model: str, indices: np.ndarray, quorum: int | None) -> tuple[s
         quorum = n
     if not 1 <= quorum <= n:
         raise DataError(f"quorum must be in 1..{n}, got {quorum}")
-    neutral = 1.0 if model == MULTIPLICATIVE else 0.0
-    above = (indices > neutral).sum(axis=1) >= quorum
-    below = (indices < neutral).sum(axis=1) >= quorum
+    above = (indices > _NEUTRAL[model]).sum(axis=1) >= quorum
+    below = (indices < _NEUTRAL[model]).sum(axis=1) >= quorum
     return tuple(np.where(above, SIGN_POSITIVE, np.where(below, SIGN_NEGATIVE, SIGN_NEUTRAL)).tolist())
 
 
@@ -171,27 +171,27 @@ def _fmt_metric(value: float) -> str:
     return "n/a" if math.isnan(value) else f"{value:.6g}"
 
 
-def markdown_returns_section(tests: MonthlyTests, codes: Sequence[str]) -> str:
-    lines = ["## Average monthly returns (%)", ""]
-    lines.append("| Month | " + " | ".join(codes) + " |")
-    lines.append("|" + " --- |" * (len(codes) + 1))
-    rows = zip([*range(1, 13), "Average"], tests.means.tolist(), (tests.p_values < tests.alpha).tolist())
-    for label, means, stars in rows:
-        lines.append(f"| {label} | " + " | ".join(map(_fmt_pct, means, stars)) + " |")
-    lines.append("")
-    lines.append(f"\\* mean differs from zero at the {100 * (1 - tests.alpha):g}% level (two-sided one-sample t-test)")
+def _markdown_table(rows: Sequence[Sequence[str]]) -> str:
+    """A markdown table: the header row, its `| --- |` rule, then the body rows; an empty cell is one space."""
+    lines = ["|" + "".join(f" {cell} |" if cell else " |" for cell in row) for row in rows]
+    lines.insert(1, "|" + " --- |" * len(rows[0]))
     return "\n".join(lines)
+
+
+def markdown_returns_section(tests: MonthlyTests, codes: Sequence[str]) -> str:
+    rows = zip([*range(1, 13), "Average"], tests.means.tolist(), (tests.p_values < tests.alpha).tolist())
+    table = [["Month", *codes]] + [[str(label), *map(_fmt_pct, means, stars)] for label, means, stars in rows]
+    level = f"{100 * (1 - tests.alpha):g}"
+    return (f"## Average monthly returns (%)\n\n{_markdown_table(table)}\n\n"
+            f"\\* mean differs from zero at the {level}% level (two-sided one-sample t-test)")
 
 
 def _markdown_matrix(matrix: CorrelationMatrix, title: str) -> str:
-    labels = matrix.labels
-    lines = [f"### {title} (n = {matrix.n})", ""]
-    lines.append("| | " + " | ".join(labels) + " |")
-    lines.append("|" + " --- |" * (len(labels) + 1))
-    for row_label, values, stars in zip(labels, matrix.values.tolist(), matrix.significant.tolist()):
-        cells = [f"{value:.2f}" + ("*" if star else "") for value, star in zip(values, stars)]
-        lines.append(f"| {row_label} | " + " | ".join(cells) + " |")
-    return "\n".join(lines)
+    rows = zip(matrix.labels, matrix.values.tolist(), matrix.significant.tolist())
+    table = [["", *matrix.labels]] + [
+        [label, *(f"{value:.2f}" + ("*" if star else "") for value, star in zip(values, stars))]
+        for label, values, stars in rows]
+    return f"### {title} (n = {matrix.n})\n\n{_markdown_table(table)}"
 
 
 def markdown_correlation_section(price_corr: CorrelationMatrix, return_corr: CorrelationMatrix) -> str:
@@ -208,16 +208,15 @@ def markdown_correlation_section(price_corr: CorrelationMatrix, return_corr: Cor
 
 
 def markdown_decomposition_section(analysis: PanelAnalysis) -> str:
-    decomposition, codes = analysis.decomposition, analysis.currencies
-    lines = [f"## Seasonal decomposition ({analysis.model}, {analysis.aggregator} aggregation)", ""]
-    lines.append("| Month | " + " | ".join(codes) + " | Sign |")
-    lines.append("|" + " --- |" * (len(codes) + 2))
+    decomposition = analysis.decomposition
+    table = [["Month", *analysis.currencies, "Sign"]]
     for month, (values, sign) in enumerate(zip(decomposition.indices.tolist(), analysis.signs), start=1):
-        lines.append(f"| {month} | " + " | ".join(f"{value:.4f}" for value in values) + f" | {sign} |")
+        table.append([str(month), *(f"{value:.4f}" for value in values), sign])
     metrics = np.concatenate((decomposition.accuracy, decomposition.trend)).tolist()
     for name, values in zip(("MAPE", "MAD", "MSD", "Constant", "Slope"), metrics):
-        lines.append(f"| {name} | " + " | ".join(map(_fmt_metric, values)) + " | |")
-    return "\n".join(lines)
+        table.append([name, *map(_fmt_metric, values), ""])
+    title = f"## Seasonal decomposition ({analysis.model}, {analysis.aggregator} aggregation)"
+    return f"{title}\n\n{_markdown_table(table)}"
 
 
 def render_markdown(analysis: PanelAnalysis) -> str:

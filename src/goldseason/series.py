@@ -372,13 +372,16 @@ def _read_panel_csv(path, group: str) -> SeriesPanel:
     """`parse_panel_csv` of a file read `_CHUNK` characters of lines at a time, or else read whole as text."""
 
     def chunks(stream, lines):
-        while lines:  # `str.splitlines` also breaks lines at these, and at some characters beyond ASCII
-            text = "".join(lines)
+        while lines:
+            following = stream.readlines(_CHUNK)
+            while not following and lines and not lines[-1].strip():  # the blank lines that end the file
+                lines.pop()
+            text = "".join(lines)  # `str.splitlines` also breaks lines at these, and at some characters beyond ASCII
             if (not text.isascii() or any(char in text for char in "\x0b\x0c\x1c\x1d\x1e")) and (
                     len(text.splitlines()) != len(lines)):
                 raise ValueError("a line holds a character that str.splitlines breaks lines at")
             yield lines
-            lines = stream.readlines(_CHUNK)
+            lines = following
 
     with open(path, encoding="utf-8") as stream:
         try:

@@ -1,17 +1,17 @@
 """Deterministic synthetic series generation.
 
 `generate_series` realizes trend * season * noise (or trend + season +
-noise) forward from explicit parameters, so decomposition tests can treat
-those parameters as ground truth. Randomness comes from numpy's PCG64
-generator seeded from the spec, which makes every series a pure function
-of its spec and reproducible across platforms.
+noise) forward from explicit parameters, with the fitted values of
+`decompose`, so decomposition tests can treat those parameters as ground
+truth. Randomness comes from numpy's PCG64 generator seeded from the spec,
+which makes every series a pure function of its spec.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .decompose import MULTIPLICATIVE, SeasonalIndices, _check_model
+from .decompose import _PUT_ON, MULTIPLICATIVE, SeasonalIndices, _check_model, _fitted_rows
 from .errors import DataError
 from .series import MonthStamp, PriceSeries, _Record
 
@@ -64,17 +64,12 @@ def generate_series(spec: GeneratorSpec) -> PriceSeries:
     Raises DataError when a generated value is not finite or not strictly
     positive, since a PriceSeries cannot hold it.
     """
-    t = np.arange(1, spec.length + 1, dtype=float)
-    slots = spec.start.calendar_slots(spec.length)
-    season = np.broadcast_to(spec.indices, slots.shape)[slots]
-
+    season = np.array(spec.indices)[spec.start.calendar_slots(spec.length).nonzero()[1]]
     with np.errstate(over="ignore", invalid="ignore"):  # values that are not finite are rejected below
-        trend = spec.intercept + spec.slope * t
-        multiplicative = spec.model == MULTIPLICATIVE
-        values = trend * season if multiplicative else trend + season
+        values = _fitted_rows(spec.model, np.array([[spec.intercept], [spec.slope]]), season[None, :])[0]
         if spec.noise_sd > 0.0:
             noise = np.random.Generator(np.random.PCG64(spec.seed)).normal(0.0, spec.noise_sd, spec.length)
-            values = values * np.exp(noise) if multiplicative else values + noise
+            _PUT_ON[spec.model](values, np.exp(noise) if spec.model == MULTIPLICATIVE else noise, out=values)
 
     if not np.isfinite(values).all():
         bad = int(np.argmax(~np.isfinite(values)))

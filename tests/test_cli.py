@@ -402,9 +402,13 @@ class TestExitCodes:
         assert [line for line in proc.stderr.splitlines() if not line.startswith("usage:")] == [
             f"error: input is not a file: {tmp_path}"]
 
-    @pytest.mark.parametrize("sink", ["closed", "full", "broken pipe"])
-    def test_unwritable_stdout_exits_1_with_one_error_line(self, panel_csv, sink):
-        argv = ["report", "--format", "json", "--input", str(panel_csv)]
+    @pytest.mark.parametrize("command, sink", [  # a report's cases are named by the sink alone
+        pytest.param(command, sink, id=sink if command == "report" else f"{command}-{sink}")
+        for command in ("report", "returns", "correlate", "decompose", "synth")
+        for sink in ("closed", "full", "broken pipe")])
+    def test_unwritable_stdout_exits_1_with_one_error_line(self, panel_csv, command, sink):
+        argv = {"report": ["report", "--format", "json", "--input", str(panel_csv)],
+                "synth": ["synth", "--intercept", "100"]}.get(command, [command, "--input", str(panel_csv)])
         if sink == "closed":
             proc = self._child(argv, shell_redirect=">&-")
         elif sink == "full":

@@ -52,10 +52,12 @@ def test_stacking_series_copies_their_prices_once():
     assert traced_peak(lambda: SeriesPanel.from_series("g", series)) <= 1.2 * 4 * 100_000 * 8
 
 
-def test_file_reader_peak_is_at_most_1_5_panels(panel_text, tmp_path):
-    # the CLI reads its input through this path; the whole text, its bytes and its lines would be 3.6 panels
+@pytest.mark.parametrize("trailer", ["", "\n", "\n \n\r\n"], ids=["no blank line", "a blank line", "blank lines"])
+def test_file_reader_peak_is_at_most_1_5_panels(panel_text, tmp_path, trailer):
+    # the CLI reads its input through this path; the whole text, its bytes and its lines would be 3.6 panels,
+    # and blank lines that end the file are read as the other lines are
     path = tmp_path / "panel.csv"
-    path.write_text(panel_text)
+    path.write_text(panel_text + trailer)
     panel = parse_panel_csv(path)
     assert panel == parse_panel_csv(panel_text)
     assert traced_peak(lambda: parse_panel_csv(path)) <= 1.5 * panel.prices.nbytes

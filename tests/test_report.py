@@ -11,6 +11,7 @@ from goldseason import (
     DataError,
     GeneratorSpec,
     MonthStamp,
+    PriceSeries,
     ReportConfig,
     SeasonalIndices,
     SeriesPanel,
@@ -21,6 +22,7 @@ from goldseason import (
     generate_series,
     render_report,
 )
+from goldseason.report import render_markdown
 
 from reference_tables import CONSUMER_INDICES, CONSUMER_SIGNS, MAJOR_INDICES, MAJOR_SIGNS
 
@@ -129,6 +131,20 @@ class TestRenderReport:
         assert len(payload["signs"]) == 12
         assert len(payload["decomposition"]["AAA"]["indices"]) == 12
         assert all(len(rec["per_month"]) == 12 for rec in payload["returns"].values())
+
+    def test_markdown_writes_an_undefined_metric_as_n_a(self):
+        # a price near zero makes one currency's percentage errors overflow, so its MAPE is NaN
+        a = generate_series(GeneratorSpec(MULTIPLICATIVE, 100.0, 0.5, (1.0,) * 12, 0.05, 36, 1, MonthStamp(2000, 1),
+                                          "AAA"))
+        b = a.prices().copy()
+        b[5] = 5e-324
+        panel = SeriesPanel.from_series("g", (a, PriceSeries("BBB", MonthStamp(2000, 1), b)))
+        analysis = analyze_panel(panel, ReportConfig(), ("decomposition",))
+        mape = analysis.decomposition.accuracy[0]
+        assert np.isnan(mape[1])
+        lines = render_markdown(analysis).splitlines()
+        assert lines[2:4] == ["| Month | AAA | BBB | Sign |", "| --- | --- | --- | --- |"]
+        assert [line for line in lines if line.startswith("| MAPE ")] == [f"| MAPE | {mape[0]:.6g} | n/a | |"]
 
     def test_markdown_stars_match_p_values(self):
         panel = two_currency_panel()

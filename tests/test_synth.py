@@ -103,6 +103,23 @@ class TestGenerateSeries:
         with pytest.raises(DataError, match=f"^generated value inf at 1990-01 is not finite [(]{model} model[)]$"):
             generate_series(spec)  # the suite turns a RuntimeWarning into an error
 
+    @pytest.mark.parametrize("model", [MULTIPLICATIVE, ADDITIVE])
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.05])
+    @pytest.mark.parametrize("start", [MonthStamp(1990, 1), MonthStamp(1987, 5), MonthStamp(2001, 12)])
+    def test_series_is_the_closed_form_model_bit_for_bit(self, model, noise_sd, start):
+        # arrays computed here, not a stored digest: np.exp may round differently on another CPU
+        indices = tuple(1 + 0.05 * np.sin(np.arange(12))) if model == MULTIPLICATIVE else tuple(np.arange(12.0) - 4)
+        spec = spec_with(model=model, intercept=150.0, slope=0.37, indices=indices, noise_sd=noise_sd, length=100,
+                         seed=7, start=start)
+        t = np.arange(1, 101, dtype=float)
+        season = np.array(spec.indices)[(start.month - 1 + np.arange(100)) % 12]
+        trend = spec.intercept + spec.slope * t
+        expected = trend * season if model == MULTIPLICATIVE else trend + season
+        if noise_sd > 0.0:
+            noise = np.random.Generator(np.random.PCG64(7)).normal(0.0, noise_sd, 100)
+            expected = expected * np.exp(noise) if model == MULTIPLICATIVE else expected + noise
+        assert np.array_equal(generate_series(spec).prices(), expected)
+
     def test_round_trip_with_published_trend_parameters(self):
         # additive specs round-trip exactly through the decomposition
         spec = spec_with(model=ADDITIVE, intercept=117.2, slope=2.09,
