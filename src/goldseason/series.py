@@ -19,9 +19,11 @@ thousands separators, no blank cells. Blank lines may only trail the data.
 
 from __future__ import annotations
 
+import io
+import operator
 import re
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -31,7 +33,7 @@ _STAMP_RE = re.compile(r"^(\d{4})-(\d{2})$")
 _CODE_RE = re.compile(r"[A-Za-z]{3}")
 _MISSING = object()  # the default of a record field that has none
 _BLOCK = 1 << 14  # elements a transient block of a panel-wide computation may hold (128 KiB of doubles)
-_CHUNK = 1 << 16  # characters of whole lines a file is read in at a time
+_CHUNK = 1 << 16  # characters of whole lines a CSV stream is read in at a time
 
 
 class _Record:
@@ -87,6 +89,11 @@ class MonthStamp(_Record):
     month: int
 
     def __post_init__(self) -> None:
+        for name, value in zip(self._fields, self._values()):
+            try:
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise DataError(f"{name} must be an integer, got {value!r}") from None
         if not 1 <= self.month <= 12:
             raise DataError(f"month must be in 1..12, got {self.month}")
 
@@ -300,14 +307,15 @@ def _ratio_returns(prices: np.ndarray, codes, start: MonthStamp) -> np.ndarray:
     return rets
 
 
-def parse_panel_csv(text, group: str = "panel") -> SeriesPanel:
+def parse_panel_csv(source, group: str = "panel") -> SeriesPanel:
     """Parse a monthly price panel from CSV text, or from the file at a path.
 
     Parameters
     ----------
-    text : str or path-like
-        Document following the CSV contract in the module docstring, or the
-        path of a file holding it, read a chunk of lines at a time.
+    source : str or os.PathLike
+        A `str` is always CSV text following the contract in the module
+        docstring, so ``parse_panel_csv("prices.csv")`` reports a malformed
+        header; an `os.PathLike`, such as a `pathlib.Path`, names a file.
     group : str
         Label attached to the resulting panel.
 
@@ -319,99 +327,88 @@ def parse_panel_csv(text, group: str = "panel") -> SeriesPanel:
         duplicate stamp (the message names the offending month); for a
         file, on a byte that is not UTF-8 (the message gives its offset).
     """
-    if not isinstance(text, str):
-        return _read_panel_csv(text, group)
+    text = source if isinstance(source, str) else None
+    # a file's universal newlines and UTF-8 decoding for text too; a lone surrogate fails to decode
+    with (open(source, encoding="utf-8") if text is None
+          else io.TextIOWrapper(io.BytesIO(text.encode("utf-8", "surrogatepass")), encoding="utf-8")) as stream:
+        read = _loaded_prices(stream)
+    if read is None and text is None:
+        with open(source, "rb") as file:
+            data = file.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
+    start, codes, prices = read or _parsed_prices(text)  # the line pass names the first fault
+    prices.flags.writeable = False  # the panel shares it
+    return SeriesPanel(group, start, codes, prices)
+
+
+def _header_codes(line: str) -> tuple[str, ...]:
+    """The currency codes of a header line, each checked; a line that is not ``date,<CODE>[,<CODE>...]`` raises."""
+    date, *codes = (cell.strip() for cell in line.split(","))
+    if date != "date" or not codes:
+        raise DataError(f"malformed header {line!r}; expected 'date,<CODE>[,<CODE>...]'")
+    for code in codes:
+        _check_currency(code)
+    return tuple(codes)
+
+
+def _loaded_prices(stream) -> tuple[MonthStamp, tuple[str, ...], np.ndarray] | None:
+    """The first stamp, codes and prices of a CSV stream by numpy's C reader, or None if anything fails.
+
+    The stream is read `_CHUNK` characters of whole lines at a time, the header with the first chunk, and the blank
+    lines that end it are dropped. Each chunk must break into lines where `str.splitlines` breaks it, and its stamps
+    are compared with the texts of the months that run on from the first in one comparison. The reader takes the
+    cells as each line is reached, unless they are blank, which it would skip.
+    """
+
+    def cells(lines):
+        rows, head = 0, 1  # the first chunk begins with the header
+        while lines:
+            following = stream.readlines(_CHUNK)
+            while not following and lines and not lines[-1].strip():  # the blank lines that end the stream
+                lines.pop()
+            breaks = len("".join(lines).splitlines())  # also at "\x0c", "\x1c", "\u2028" and others
+            del lines[:head]
+            if (breaks != head + len(lines)
+                    or [line[:8] for line in lines] != _stamp_texts(start.shift(rows), len(lines))
+                    or not all(len(line.rstrip()) > 8 for line in lines)):
+                raise ValueError("a line str.splitlines breaks, a stamp out of sequence, or a line with blank cells")
+            rows += len(lines)
+            yield from (line[8:] for line in lines)
+            lines, head = following, 0
+
+    try:
+        lines = stream.readlines(_CHUNK)
+        header, first = lines[:2]
+        codes = _header_codes(header.removeprefix("\ufeff"))
+        start = MonthStamp.parse(first[:7])
+        prices = np.loadtxt(cells(lines), delimiter=",", comments=None, ndmin=2)
+    except (ValueError, DataError):  # also a stream that is not UTF-8
+        return None
+    valid = prices.shape[1] == len(codes) and 0.0 < prices.min() and prices.max() < np.inf
+    return (start, codes, prices) if valid else None
+
+
+def _parsed_prices(text: str) -> tuple[MonthStamp, tuple[str, ...], np.ndarray]:
+    """The first stamp, codes and prices of CSV text read line by line with `float`; the first fault raises."""
     lines = text.removeprefix("\ufeff").splitlines()
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:
         raise DataError("empty document")
-    header = [h.strip() for h in lines[0].split(",")]
-    if len(header) < 2 or header[0] != "date":
-        raise DataError(f"malformed header {lines[0]!r}; expected 'date,<CODE>[,<CODE>...]'")
-    codes = header[1:]
-    for code in codes:
-        _check_currency(code)
-
+    codes = _header_codes(lines[0])
     body = lines[1:]
     if not body:
         raise DataError("document has a header but no data rows")
-    # a first line with another cell count has no stamp here: the row parser raises for it
-    start = MonthStamp.parse(body[0].partition(",")[0]) if body[0].count(",") == len(codes) else None
-    prices = None if start is None else _loaded_prices([body], start, len(codes))
-    if prices is None:
-        prices = _parse_rows(body, codes)  # names the first fault, or reads cells only float() reads
-    prices.flags.writeable = False  # the panel shares it
-    return SeriesPanel(group, start, tuple(codes), prices)
-
-
-def _loaded_prices(chunks: Iterable[list[str]], start: MonthStamp, k: int) -> np.ndarray | None:
-    """The prices of chunks of data lines by numpy's C reader, or None if it raises or a check or a price fails.
-
-    Each chunk's stamps are compared with the texts of the months that run on from `start` in one comparison. The
-    reader takes the cells as each line is reached, unless they are blank, which it would skip.
-    """
-
-    def cells():
-        rows = 0
-        for lines in chunks:
-            if ([line[:8] for line in lines] != _stamp_texts(start.shift(rows), len(lines))
-                    or not all(len(line.rstrip()) > 8 for line in lines)):
-                raise ValueError("a stamp out of sequence, or a line with blank cells")
-            rows += len(lines)
-            yield from (line[8:] for line in lines)
-
-    try:
-        prices = np.loadtxt(cells(), delimiter=",", comments=None, ndmin=2)
-    except ValueError:  # also a chunk of a file that is not UTF-8, or that holds a line `str.splitlines` would split
-        return None
-    return prices if prices.shape[1] == k and 0.0 < prices.min() and prices.max() < np.inf else None
-
-
-def _read_panel_csv(path, group: str) -> SeriesPanel:
-    """`parse_panel_csv` of a file read `_CHUNK` characters of lines at a time, or else read whole as text."""
-
-    def chunks(stream, lines):
-        while lines:
-            following = stream.readlines(_CHUNK)
-            while not following and lines and not lines[-1].strip():  # the blank lines that end the file
-                lines.pop()
-            text = "".join(lines)  # `str.splitlines` also breaks lines at these, and at some characters beyond ASCII
-            if (not text.isascii() or any(char in text for char in "\x0b\x0c\x1c\x1d\x1e")) and (
-                    len(text.splitlines()) != len(lines)):
-                raise ValueError("a line holds a character that str.splitlines breaks lines at")
-            yield lines
-            lines = following
-
-    with open(path, encoding="utf-8") as stream:
-        try:
-            header, *lines = stream.readlines(_CHUNK) or ["\n"]  # an empty file is parsed as text below
-            date, *codes = (cell.strip() for cell in header.removeprefix("\ufeff").split(","))
-            if len(header.splitlines()) == 1 and date == "date" and lines:
-                start = MonthStamp.parse(lines[0][:7])
-                prices = _loaded_prices(chunks(stream, lines), start, len(codes))
-                if prices is not None:
-                    prices.flags.writeable = False  # the panel shares it
-                    return SeriesPanel(group, start, tuple(codes), prices)
-        except (UnicodeDecodeError, DataError):  # the text names the fault
-            pass
-    with open(path, "rb") as stream:
-        try:
-            text = stream.read().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}") from None
-    return parse_panel_csv(text, group)
-
-
-def _parse_rows(body: list[str], codes: list[str]) -> np.ndarray:
-    """The prices of the data lines read with `float`; line by line, the first bad cell count, stamp or price raises."""
     prices = []
     previous = None
     for i, line in enumerate(body):
-        text, *cells = line.split(",")
+        stamp_text, *cells = line.split(",")
         if len(cells) != len(codes):
             raise DataError(f"line {i + 2}: expected {len(codes) + 1} cells, got {len(cells) + 1}")
-        stamp = MonthStamp.parse(text)
+        stamp = MonthStamp.parse(stamp_text)
         step = 1 if previous is None else stamp.index() - previous.index()
         if step == 0:
             raise DataError(f"duplicate stamp {stamp}")
@@ -428,7 +425,7 @@ def _parse_rows(body: list[str], codes: list[str]) -> np.ndarray:
             if not 0.0 < price < np.inf:
                 raise DataError(f"non-positive price {cell!r} at {stamp} in column {code}")
             prices.append(price)
-    return np.array(prices).reshape(len(body), len(codes))
+    return previous.shift(1 - len(body)), codes, np.array(prices).reshape(len(body), len(codes))
 
 
 def _stamp_texts(start: MonthStamp, n: int) -> list[str]:
@@ -439,11 +436,13 @@ def _stamp_texts(start: MonthStamp, n: int) -> list[str]:
 
 
 def render_panel_csv(panel: SeriesPanel) -> str:
-    """Serialize a panel back to the CSV contract (round-trips exactly)."""
-    lines = ["date," + ",".join(panel.currencies)]
-    for i, row in enumerate(panel.prices.tolist()):
-        lines.append(f"{panel.start.shift(i)}," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    """Serialize a panel back to the CSV contract (round-trips exactly); a month outside the years 0000..9999 raises."""
+    stamps = _stamp_texts(panel.start, len(panel.prices))
+    if panel.start.year < 0 or len(stamps) < len(panel.prices):
+        month = panel.start if panel.start.year < 0 else panel.start.shift(len(stamps))
+        raise DataError(f"panel {panel.group!r} has month {month}, outside the years 0000..9999 of a CSV stamp")
+    rows = (stamp + ",".join(map(repr, row)) for stamp, row in zip(stamps, panel.prices.tolist()))
+    return "\n".join(["date," + ",".join(panel.currencies), *rows]) + "\n"
 
 
 def to_returns(series: PriceSeries) -> ReturnSeries:

@@ -29,7 +29,7 @@ CODES = ("AAA", "BBB", "CCC")
 STAMP_TEXTS = ["2000-1", "200-01", "2000-13", "2000-00", "2000/01", "", "abcd-ef", "99999-01", "2000-01-01",
                "1999-12", "\u0662\u0660\u0660\u0660-\u0660\u0661"]
 PRICE_TEXTS = ["x", "-1", "0", "nan", "inf", "", "1e400", " 2.5", "1_000", "\uff11\uff12", "\u0661\u0662", " 12", "+5",
-               ".5", "5.", "0x10", "#1", "  "]
+               ".5", "5.", "0x10", "#1", "  ", "\ud800"]
 # what `str.splitlines` breaks a line at and reading a file does not
 BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 
@@ -51,6 +51,8 @@ mutations = st.one_of(
     st.tuples(st.just("cells"), st.integers(0, 50), st.sampled_from([-1, 1])),
     st.tuples(st.just("price"), st.integers(0, 50), st.sampled_from(PRICE_TEXTS)),
 )
+# the mutations, or a character `str.splitlines` breaks a line at appended to a line's last cell
+mutations_and_breaks = st.one_of(mutations, st.tuples(st.just("break"), st.integers(0, 50), st.sampled_from(BREAKS)))
 
 
 def mutate(rows: list[list[str]], kind: str, at: int, extra) -> None:
@@ -78,26 +80,35 @@ def mutate(rows: list[list[str]], kind: str, at: int, extra) -> None:
     start=st.one_of(st.integers(0, 24), st.integers(1990 * 12, 2010 * 12), st.integers(9998 * 12, 9999 * 12 + 11)),
     n=st.integers(1, 30),
     k=st.integers(1, 3),
-    edits=st.lists(mutations, max_size=3),
+    edits=st.lists(mutations_and_breaks, max_size=3),
+    newline=st.sampled_from(["\n", "\r\n", "\r"]),
     trailer=st.sampled_from(["", "\n", "\n\n  \n", "\r\n"]),
     bom=st.booleans(),
 )
-@example(start=24000, n=5, k=2, edits=[("price", 1, "x"), ("duplicate", 3, None)], trailer="", bom=False)
-@example(start=24000, n=5, k=1, edits=[("padded", 2, " ")], trailer="\n", bom=True)
-@example(start=0, n=1, k=1, edits=[("price", 0, "")], trailer="", bom=False)  # "date,AAA\n0000-01,"
-@example(start=24000, n=5, k=2, edits=[("price", 1, "x"), ("malformed", 3, "2000-13")], trailer="", bom=False)
-@example(start=24000, n=5, k=2, edits=[("malformed", 2, "2000/01"), ("price", 2, "x")], trailer="", bom=False)
-@example(start=24000, n=5, k=2, edits=[("cells", 2, -1), ("price", 2, "x")], trailer="", bom=False)  # short and bad
-@example(start=24000, n=5, k=2, edits=[("price", 2, "1_000")], trailer="", bom=False)  # only float() reads it
-@example(start=0, n=1, k=2, edits=[("cells", 0, 1)], trailer="", bom=False)  # every row has an extra cell
-@example(start=24000, n=5, k=2, edits=[("price", 2, "")], trailer="", bom=False)  # an empty last cell mid-file
+@example(start=24000, n=5, k=2, edits=[("price", 1, "x"), ("duplicate", 3, None)], newline="\n", trailer="",
+         bom=False)
+@example(start=24000, n=5, k=1, edits=[("padded", 2, " ")], newline="\n", trailer="\n", bom=True)
+@example(start=0, n=1, k=1, edits=[("price", 0, "")], newline="\n", trailer="", bom=False)  # "date,AAA\n0000-01,"
+@example(start=24000, n=5, k=2, edits=[("price", 1, "x"), ("malformed", 3, "2000-13")], newline="\n", trailer="",
+         bom=False)
+@example(start=24000, n=5, k=2, edits=[("malformed", 2, "2000/01"), ("price", 2, "x")], newline="\n", trailer="",
+         bom=False)
+@example(start=24000, n=5, k=2, edits=[("cells", 2, -1), ("price", 2, "x")], newline="\n", trailer="",
+         bom=False)  # short and bad
+@example(start=24000, n=5, k=2, edits=[("price", 2, "1_000")], newline="\n", trailer="",
+         bom=False)  # only float() reads it
+@example(start=0, n=1, k=2, edits=[("cells", 0, 1)], newline="\n", trailer="", bom=False)  # every row has an extra cell
+@example(start=24000, n=5, k=2, edits=[("price", 2, "")], newline="\n", trailer="",
+         bom=False)  # an empty last cell mid-file
+@example(start=24000, n=30, k=2, edits=[("break", 3, "\x0c")], newline="\r\n", trailer="", bom=False)
+@example(start=24000, n=5, k=1, edits=[("price", 2, "\ud800")], newline="\r", trailer="\n", bom=True)
 @settings(max_examples=400, deadline=None)
-def test_parser_matches_the_row_by_row_reference(start, n, k, edits, trailer, bom):
+def test_parser_matches_the_row_by_row_reference(start, n, k, edits, newline, trailer, bom):
     first = MonthStamp.from_index(start)
     rows = [[str(first.shift(i))] + [f"{1 + i + j / 4}" for j in range(k)] for i in range(n)]
     for kind, at, extra in edits:
         mutate(rows, kind, at, extra)
-    text = ("\ufeff" if bom else "") + "\n".join(["date," + ",".join(CODES[:k])] + [",".join(r) for r in rows])
+    text = ("\ufeff" if bom else "") + newline.join(["date," + ",".join(CODES[:k])] + [",".join(r) for r in rows])
     text += trailer
     assert outcome(parse_panel_csv, text) == outcome(reference_parse_panel_csv, text)
 
@@ -105,8 +116,7 @@ def test_parser_matches_the_row_by_row_reference(start, n, k, edits, trailer, bo
 @given(
     n=st.sampled_from([1, 2, 30, 3500]),  # 3500 rows span several of the file reader's chunks
     k=st.integers(1, 3),
-    edits=st.lists(st.tuples(st.one_of(mutations, st.tuples(st.just("break"), st.integers(0, 50),
-                                                           st.sampled_from(BREAKS))), st.booleans()), max_size=3),
+    edits=st.lists(st.tuples(mutations_and_breaks, st.booleans()), max_size=3),
     newline=st.sampled_from(["\n", "\r\n", "\r"]),
     trailer=st.sampled_from(["", "\n", "\n\n  \n", "\r\n", "\n\x0c"]),
     bom=st.booleans(),
@@ -125,7 +135,7 @@ def test_file_reader_matches_the_row_by_row_reference(tmp_path_factory, n, k, ed
     for (kind, at, extra), late in edits:  # a late edit lands in the last rows, past the first chunk of a long file
         mutate(table, kind, len(table) - 1 - at if late else at, extra)
     text = ("\ufeff" if bom else "") + newline.join(",".join(row) for row in table) + trailer
-    data = bytearray(text.encode("utf-8"))
+    data = bytearray(text.encode("utf-8", "surrogatepass"))  # a lone surrogate is three bytes that are not UTF-8
     if bad_byte is not None:
         data[round(bad_byte * (len(data) - 1))] = 0xFF
     path = tmp_path_factory.getbasetemp() / "reader.csv"
@@ -135,6 +145,18 @@ def test_file_reader_matches_the_row_by_row_reference(tmp_path_factory, n, k, ed
     except UnicodeDecodeError as exc:
         expected = DataError, f"input is not UTF-8: byte 0x{exc.object[exc.start]:02x} at offset {exc.start}"
     assert outcome(parse_panel_csv, path) == expected
+
+
+def test_a_file_whose_last_row_is_faulty_is_read_by_numpy_once(tmp_path, monkeypatch):
+    first = MonthStamp(1990, 7)
+    rows = [f"{first.shift(i)},{1 + i},2.5" for i in range(3500)]  # several of the file reader's chunks
+    path = tmp_path / "panel.csv"
+    path.write_text("\n".join(["date,AAA,BBB", *rows[:-1], rows[-1].removesuffix("2.5") + "x"]) + "\n")
+    loadtxt, calls = np.loadtxt, []
+    monkeypatch.setattr(np, "loadtxt", lambda *args, **kwargs: calls.append(args) or loadtxt(*args, **kwargs))
+    with pytest.raises(DataError, match=f"non-numeric price 'x' at {first.shift(3499)} in column BBB"):
+        parse_panel_csv(path)
+    assert len(calls) == 1
 
 
 def window_panel() -> SeriesPanel:

@@ -169,5 +169,11 @@ def test_construction_rejects_missing_extra_and_unknown_arguments(args, kwargs):
 def test_post_init_checks_run_on_construction():
     with pytest.raises(DataError, match="month must be in 1..12"):
         MonthStamp(2000, 13)
+    with pytest.raises(DataError, match="year must be an integer, got 2000.5"):
+        MonthStamp(2000.5, 3)
+    with pytest.raises(DataError, match="month must be an integer, got 3.0"):
+        MonthStamp(2000, 3.0)
+    stamp = MonthStamp(np.int64(2000), np.int8(3))  # an integer of any type is stored as an int
+    assert (type(stamp.year), type(stamp.month), str(stamp)) == (int, int, "2000-03")
     with pytest.raises(DataError, match="alpha"):
         ReportConfig(alpha=2.0)

@@ -207,6 +207,14 @@ class TestParsePanelCsv:
         panel = parse_panel_csv(small_csv, "demo")
         assert parse_panel_csv(render_panel_csv(panel), "demo") == panel
 
+    def test_render_stops_at_the_last_month_a_stamp_can_hold(self):
+        panel = SeriesPanel("g", MonthStamp(9999, 10), ("AAA",), [[1.0], [2.0], [3.0]])
+        assert parse_panel_csv(render_panel_csv(panel), "g") == panel
+        with pytest.raises(DataError, match="month 10000-01, outside the years 0000..9999"):
+            render_panel_csv(SeriesPanel("g", MonthStamp(9999, 11), ("AAA",), [[1.0], [2.0], [3.0]]))
+        with pytest.raises(DataError, match="month -001-12, outside the years 0000..9999"):
+            render_panel_csv(SeriesPanel("g", MonthStamp(-1, 12), ("AAA",), [[1.0], [2.0]]))
+
 
 class TestToReturns:
     def test_basic_arithmetic(self):
